@@ -28,6 +28,7 @@ from .errors import (
     InvalidParameter,
     NegativeProbability,
     NegativeSource,
+    NoSourceState,
     NonFiniteState,
     NonHermitianInput,
     SingularMap,
@@ -45,6 +46,7 @@ NUMERICAL_ERRORS = (
     SingularMap,
     NonFiniteState,
     NegativeSource,
+    NoSourceState,
     ZeroNorm,
 )
 VALIDATION_ERRORS = (
@@ -114,7 +116,7 @@ def _write_outputs(out_dir: Path, meta: dict, columns: list[str], rows: list[tup
     )
 
 
-def _cmd_simulate(cfg: dict, seed: int, threads: int):
+def _cmd_simulate(cfg: dict, seed: int):
     _require_keys(
         cfg,
         {"command", "model", "initial_state", "dt", "t_final", "n_trajectories", "seed",
@@ -137,7 +139,6 @@ def _cmd_simulate(cfg: dict, seed: int, threads: int):
         grid,
         reverse_jumps=bool(cfg.get("reverse_jumps", False)),
         record_every=int(cfg.get("record_every", 1)),
-        threads=threads,
     )
     columns = ["t", "trace_estimate", "total_count", "distinct_states"]
     columns += [f"pop_{k}" for k in range(model.dim)]
@@ -150,7 +151,7 @@ def _cmd_simulate(cfg: dict, seed: int, threads: int):
     return columns, rows, None
 
 
-def _cmd_exact(cfg: dict, seed: int, threads: int):
+def _cmd_exact(cfg: dict, seed: int):
     _require_keys(
         cfg,
         {"command", "model", "initial_state", "dt", "t_final", "record_every", "seed"},
@@ -185,7 +186,7 @@ def _photon_cfg(cfg: dict, seed: int) -> experiments.PhotonCountingConfig:
     return experiments.PhotonCountingConfig(seed=seed, **kwargs)
 
 
-def _cmd_moments(cfg: dict, seed: int, threads: int):
+def _cmd_moments(cfg: dict, seed: int):
     _require_keys(
         cfg,
         {"command", "gamma", "nbar", "Omega", "phi", "zeta_list", "k_max", "n_max", "dt",
@@ -194,10 +195,10 @@ def _cmd_moments(cfg: dict, seed: int, threads: int):
         "moments config",
     )
     pc = _photon_cfg(cfg, seed)
-    series = experiments.run_photon_counting(pc, threads=threads)
+    series = experiments.run_photon_counting(pc)
     extra = None
     if cfg.get("tilted", True):
-        tilted = experiments.run_tilted_trace(pc, threads=threads)
+        tilted = experiments.run_tilted_trace(pc)
         extra = {
             "tilted": {
                 "columns": tilted.column_names(),
@@ -227,7 +228,7 @@ def _heisenberg_cfg(cfg: dict, seed: int) -> experiments.HeisenbergConfig:
     return experiments.HeisenbergConfig(seed=seed, **kwargs)
 
 
-def _cmd_heisenberg(cfg: dict, seed: int, threads: int):
+def _cmd_heisenberg(cfg: dict, seed: int):
     _require_keys(
         cfg,
         {"command", "eps", "gamma_minus", "gamma_plus", "observables", "initial_state",
@@ -235,7 +236,7 @@ def _cmd_heisenberg(cfg: dict, seed: int, threads: int):
         set(),
         "heisenberg config",
     )
-    res = experiments.run_heisenberg(_heisenberg_cfg(cfg, seed), threads=threads)
+    res = experiments.run_heisenberg(_heisenberg_cfg(cfg, seed))
     shorten = {"sigma_x": "x", "sigma_y": "y", "sigma_z": "z"}
     names = [shorten.get(n, n) for n in res.series]
     columns = (
@@ -247,7 +248,7 @@ def _cmd_heisenberg(cfg: dict, seed: int, threads: int):
     return columns, res.rows(), None
 
 
-def _cmd_divisibility(cfg: dict, seed: int, threads: int):
+def _cmd_divisibility(cfg: dict, seed: int):
     _require_keys(
         cfg,
         {"command", "model", "heisenberg", "adjoint", "dt", "t_final", "seed"},
@@ -286,7 +287,9 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads (never affects results)")
+    parser.add_argument(
+        "--threads", type=int, default=1, help="accepted and ignored; runs are single-threaded and bit-identical"
+    )
     args = parser.parse_args(argv)
 
     try:
@@ -306,7 +309,7 @@ def main(argv=None) -> int:
         config_hash = hashlib.sha256(
             json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
         ).hexdigest()
-        columns, rows, extra = _COMMANDS[command](cfg, seed, max(1, args.threads))
+        columns, rows, extra = _COMMANDS[command](cfg, seed)
         meta = {
             "command": command,
             "config_sha256": config_hash,

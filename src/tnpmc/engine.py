@@ -1,17 +1,18 @@
 """Shared time-synchronous stepping engine for the jump schemes.
 
-Each step advances every trajectory against an immutable snapshot of the
-ensemble: probabilities are computed in batched array passes, one uniform (or
-one multinomial, for multiplicity > 1) is drawn per trajectory from its own
-counter-based stream, and structural changes (jumps, replications,
-disappearances, reverse jumps, source creations) are applied at the end-of-step
-barrier in deterministic order. Results are therefore independent of the
-worker count.
+Each step advances every object against an immutable snapshot of the
+ensemble: probabilities are computed in batched array passes, and every
+realization gets one outcome (jump, reverse jump, disappearance or
+replication, or deterministic drift). Objects of multiplicity 1 draw it with
+one uniform from their own counter-based stream; larger objects split their
+count with a binomial, categorical or multinomial draw on the same stream.
+Structural changes, source creations included, are applied at the
+end-of-step barrier in object order, so results are bit-identical given
+``(config, seed)``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -86,7 +87,6 @@ def run(
     record_every: int = 1,
     merge: Optional[bool] = None,
     observables: Optional[dict[str, np.ndarray]] = None,
-    threads: int = 1,
     jump_mass_limit: float = JUMP_MASS_LIMIT,
     record_distinct: bool = True,
 ) -> RunResult:
@@ -122,20 +122,15 @@ def run(
             rec_gobs[name].append(ens.group_observable_sums(op) / ens.n_ref)
 
     record()
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        for step in range(grid.n_steps):
-            t = grid.time_at(step)
-            _advance_step(model, ens, scheme, t, dt, reverse_jumps, pool, threads, jump_mass_limit)
-            _apply_source(model, ens, src_key, step, t, dt)
-            if merge:
-                ens._merge_in_place()
-            ens.time = grid.time_at(step + 1)
-            if (step + 1) % record_every == 0:
-                record()
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+    for step in range(grid.n_steps):
+        t = grid.time_at(step)
+        _advance_step(model, ens, scheme, t, dt, reverse_jumps, jump_mass_limit)
+        _apply_source(model, ens, src_key, step, t, dt)
+        if merge:
+            ens._merge_in_place()
+        ens.time = grid.time_at(step + 1)
+        if (step + 1) % record_every == 0:
+            record()
 
     return RunResult(
         times=np.array(rec_times),
@@ -152,20 +147,25 @@ def run(
     )
 
 
-def _advance_step(model, ens, scheme, t, dt, reverse_jumps, pool, threads, jump_mass_limit=JUMP_MASS_LIMIT):
+def _advance_step(model, ens, scheme, t, dt, reverse_jumps, jump_mass_limit=JUMP_MASS_LIMIT):
+    """Draw one outcome per realization and apply all of them at the barrier.
+
+    Returns the outcome counts per object, an (n, J + 3) array with columns
+    [jumps per channel or branch | reverse jumps | vanish or replicate |
+    deterministic]; each row sums to the object's multiplicity. None when the
+    ensemble is empty.
+    """
     n = ens.size
     if n == 0:
-        return
+        return None
     ctx = scheme.prepare(model, t, dt)
-    states = ens.states
+    states, mult = ens.states, ens.mult
 
     raw_bins = scheme.jump_bins(ctx, states)  # (n, J), possibly negative entries
     det_states = scheme.det_states(ctx, states)
     x = scheme.x_values(ctx, states)
     pd = np.maximum(0.0, -x * dt)
-    pc = np.maximum(0.0, x * dt)
-    pdc = pd + pc
-    is_vanish = pd > 0.0
+    pdc = pd + np.maximum(0.0, x * dt)
 
     neg_mask = raw_bins < scheme.negative_tol
     if neg_mask.any() and not reverse_jumps:
@@ -174,28 +174,25 @@ def _advance_step(model, ens, scheme, t, dt, reverse_jumps, pool, threads, jump_
             f"jump branch {j} has negative probability at t = {t:.6g}; enable reverse jumps"
         )
     pos_bins = np.where(raw_bins < 0.0, 0.0, raw_bins)
+    n_jump = pos_bins.shape[1]
+    REV, DC, DET = n_jump, n_jump + 1, n_jump + 2
 
-    # reverse-jump exits shared per snapshot state class (same key -> same exits)
-    rev_class: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    rev_targets: Optional[np.ndarray] = None
-    obj_class: Optional[np.ndarray] = None
+    # reverse-jump exits are shared by all objects of one snapshot state class:
+    # per-realization probabilities and the snapshot rows they jump back to
+    exits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    obj_class = np.full(n, -1, dtype=np.int64)
+    rev_total = np.zeros(n)
     if reverse_jumps and neg_mask.any():
-        uniq_keys, uniq_states, uniq_counts, inverse = _build_snapshot(states, ens.mult)
-        entries = scheme.reverse_entries(ctx, uniq_keys, uniq_states, uniq_counts, _match_keys)
-        rev_targets = uniq_states
-        obj_class = inverse
-        for uidx, exits in entries.items():
-            n_here = float(uniq_counts[uidx])
-            rev_class[uidx] = (
-                np.array([w / n_here for (w, _, _) in exits]),
-                np.array([tgt for (_, tgt, _) in exits], dtype=np.int64),
-            )
+        uniq_keys, sources, uniq_counts, obj_class = _build_snapshot(states, mult)
+        class_total = np.zeros(uniq_counts.shape[0])
+        entries = scheme.reverse_entries(ctx, uniq_keys, sources, uniq_counts, _match_keys)
+        for host, host_exits in entries.items():
+            probs = np.array([w for (w, _, _) in host_exits]) / float(uniq_counts[host])
+            exits[host] = (probs, np.array([v for (_, v, _) in host_exits], dtype=np.int64))
+            class_total[host] = probs.sum()
+        rev_total = class_total[obj_class]
 
     jump_mass = pos_bins.sum(axis=1)
-    rev_total = np.zeros(n)
-    if rev_class:
-        for uidx, (probs, _) in rev_class.items():
-            rev_total[obj_class == uidx] = probs.sum()
     pdet = 1.0 - jump_mass - rev_total - pdc  # residual deterministic weight
 
     worst = float((jump_mass + rev_total + pd).max())
@@ -206,183 +203,100 @@ def _advance_step(model, ens, scheme, t, dt, reverse_jumps, pool, threads, jump_
     if float(pdet.min()) < -1e-12:
         raise StepTooLarge(f"outcome probabilities exceed 1 at t = {t:.6g}; reduce dt")
 
-    ctr_before = ens.ctr.copy()
     u0, u1, u2, u3 = batched_uniform_words(ens.key0, ens.key1, ens.ctr)
+    counts = np.zeros((n, n_jump + 3), dtype=np.int64)
+    rev_counts: dict[int, np.ndarray] = {}  # object -> reverse jumps per exit of its class
+
+    def pick_exit(i, u, lo, scale):
+        # a draw in the reverse bin [lo, lo + rev_total) picks its exit with the
+        # same uniform against the sequential cumulative exit probabilities;
+        # exits exist only with a negative channel, so REV >= 1 and lo is a jump edge
+        probs = exits[int(obj_class[i])][0]
+        edges = np.cumsum(np.concatenate([[lo], probs / scale]))[1:]
+        e = min(int((u >= edges).sum()), probs.shape[0] - 1)
+        rev_counts.setdefault(int(i), np.zeros(probs.shape[0], dtype=np.int64))[e] += 1
+
+    # multiplicity 1: one inverse-CDF pass over u0
+    single = np.flatnonzero(mult == 1)
+    if single.size:
+        bins = np.concatenate(
+            [pos_bins[single], rev_total[single, None], pdc[single, None], pdet[single, None]], axis=1
+        )
+        cum = np.cumsum(bins, axis=1)
+        idx = np.minimum((u0[single, None] >= cum).sum(axis=1), DET)
+        counts[single, idx] = 1
+        for r in np.flatnonzero(idx == REV):
+            pick_exit(single[r], u0[single[r]], cum[r, REV - 1], 1.0)
+
+    # multiplicity m > 1: the number k of non-deterministic events is
+    # Binomial(m, p_ev); up to three events take one categorical uniform each,
+    # more events and large lumps fall back to a multinomial Generator
+    multi = np.flatnonzero(mult > 1)
+    if multi.size:
+        m = mult[multi]
+        p_ev = jump_mass[multi] + rev_total[multi] + pdc[multi]
+        small = m * p_ev <= 32.0
+        k = np.zeros(multi.size, dtype=np.int64)
+        k[small] = binomial_inverse(m[small], p_ev[small], u0[multi[small]])
+        counts[multi, DET] = m - k
+
+        cat = np.flatnonzero(small & (k >= 1) & (k <= 3))
+        if cat.size:
+            rows = multi[cat]
+            ev = np.concatenate([pos_bins[rows], rev_total[rows, None], pdc[rows, None]], axis=1)
+            total = np.cumsum(ev, axis=1)[:, -1]
+            acc = np.cumsum(ev / total[:, None], axis=1)
+            for w, u in enumerate((u1, u2, u3)):
+                sel = np.flatnonzero(k[cat] > w)
+                idx = np.minimum((u[rows[sel], None] >= acc[sel]).sum(axis=1), DC)
+                counts[rows[sel], idx] += 1
+                for s in sel[idx == REV]:
+                    pick_exit(rows[s], u[rows[s]], acc[s, REV - 1], total[s])
+
+        for c in np.flatnonzero(~small | (k > 3)):
+            i = int(multi[c])
+            probs = exits.get(int(obj_class[i]), (np.zeros(0),))[0]
+            ev = np.concatenate([pos_bins[i], probs, pdc[i : i + 1]])
+            gen = make_generator(int(ens.key0[i]), int(ens.key1[i]), int(ens.ctr[i]))
+            if small[c]:
+                drawn = gen.multinomial(int(k[c]), ev / ev.sum())
+            else:
+                pvec = np.append(ev, max(pdet[i], 0.0))
+                drawn = gen.multinomial(int(m[c]), pvec / pvec.sum())
+                counts[i, DET] = drawn[-1]
+            r = probs.shape[0]
+            counts[i, :REV] = drawn[:REV]
+            counts[i, REV] = drawn[REV : REV + r].sum()
+            counts[i, DC] = drawn[REV + r]
+            if counts[i, REV]:
+                rev_counts[i] = drawn[REV : REV + r]
     ens.ctr += np.uint64(1)
 
-    n_jump_bins = pos_bins.shape[1]
-    n_bins = n_jump_bins + 2
-    special = ens.mult > 1
-    hosted = np.zeros(n, dtype=bool)
-    if rev_class:
-        hosted = np.isin(obj_class, np.fromiter(rev_class.keys(), dtype=np.int64))
-        special |= hosted
-
-    fast = ~special
-    outcome_fast = np.full(n, n_bins - 1, dtype=np.int64)
-    if fast.any():
-        bins = np.concatenate([pos_bins[fast], pdc[fast, None], pdet[fast, None]], axis=1)
-        cum = np.cumsum(bins, axis=1)
-        idx = (u0[fast, None] >= cum).sum(axis=1)
-        outcome_fast[fast] = np.minimum(idx, n_bins - 1)
-
-    # multiplicity-1 objects with reverse exits: classify per class with shared
-    # exit bins [jumps | exits | pdc | det]; only event-bearing ones join the
-    # per-object apply path
-    host_results: dict[int, tuple[np.ndarray, int]] = {}
-    host_det: list[np.ndarray] = []
-    if rev_class:
-        single_hosted = hosted & (ens.mult == 1)
-        for uidx, (probs, targets) in rev_class.items():
-            members = np.flatnonzero(single_hosted & (obj_class == uidx))
-            if members.size == 0:
-                continue
-            r = probs.shape[0]
-            bins = np.concatenate(
-                [
-                    pos_bins[members],
-                    np.tile(probs, (members.size, 1)),
-                    pdc[members, None],
-                    pdet[members, None],
-                ],
-                axis=1,
-            )
-            cum = np.cumsum(bins, axis=1)
-            idx = np.minimum((u0[members, None] >= cum).sum(axis=1), n_jump_bins + r + 1)
-            host_det.append(members[idx == n_jump_bins + r + 1])
-            for pos in np.flatnonzero(idx != n_jump_bins + r + 1):
-                counts = np.zeros(n_jump_bins + r + 2, dtype=np.int64)
-                counts[idx[pos]] = 1
-                host_results[int(members[pos])] = (counts, r)
-
-    # multiplicity splitting: number of non-deterministic events is Binomial(m, p_ev);
-    # small expected counts invert one uniform, large lumps fall back to a Generator
-    special_idx = np.flatnonzero(ens.mult > 1)
-    special_results: dict[int, tuple[np.ndarray, int]] = {}
-    event_free: np.ndarray = np.zeros(0, dtype=np.int64)
-    if special_idx.size:
-        m_arr = ens.mult[special_idx]
-        p_ev = jump_mass[special_idx] + rev_total[special_idx] + pdc[special_idx]
-        small = m_arr * p_ev <= 32.0
-        k_events = np.zeros(special_idx.size, dtype=np.int64)
-        sm = np.flatnonzero(small)
-        if sm.size:
-            k_events[sm] = binomial_inverse(m_arr[sm], p_ev[sm], u0[special_idx[sm]])
-        event_free = special_idx[small & (k_events == 0)]
-
-        def event_bins(i: int):
-            if hosted[i]:
-                probs = rev_class[int(obj_class[i])][0]
-                return list(pos_bins[i]) + list(probs) + [pdc[i]], probs.shape[0]
-            return list(pos_bins[i]) + [pdc[i]], 0
-
-        def draw_special(pos: int):
-            i = int(special_idx[pos])
-            bins_i, n_rev = event_bins(i)
-            total = sum(bins_i)
-            m = int(m_arr[pos])
-            counts = np.zeros(len(bins_i) + 1, dtype=np.int64)
-            if small[pos]:
-                k = int(k_events[pos])
-                if k <= 3:
-                    for u in (u1[i], u2[i], u3[i])[:k]:
-                        acc = 0.0
-                        chosen = len(bins_i) - 1
-                        for b, p in enumerate(bins_i):
-                            acc += p / total
-                            if u < acc:
-                                chosen = b
-                                break
-                        counts[chosen] += 1
-                else:
-                    gen = make_generator(int(ens.key0[i]), int(ens.key1[i]), int(ctr_before[i]))
-                    arr = np.array(bins_i)
-                    counts[:-1] = gen.multinomial(k, arr / arr.sum())
-                counts[-1] = m - k
-            else:
-                gen = make_generator(int(ens.key0[i]), int(ens.key1[i]), int(ctr_before[i]))
-                pvec = np.array(bins_i + [max(pdet[i], 0.0)])
-                counts[:] = gen.multinomial(m, pvec / pvec.sum())
-            return i, counts, n_rev
-
-        todo = np.flatnonzero(~(small & (k_events == 0)))
-        if pool is not None and todo.size > 1:
-            chunks = [c for c in np.array_split(todo, threads) if len(c)]
-            futures = [pool.submit(lambda c=c: [draw_special(p) for p in c]) for c in chunks]
-            results = [r for fut in futures for r in fut.result()]
-        else:
-            results = [draw_special(p) for p in todo]
-        special_results = {i: (counts, n_rev) for i, counts, n_rev in results}
-    special_results.update(host_results)
-
-    # -- apply outcomes at the barrier, touching only event-bearing objects ---
-    new_mult = np.zeros(n, dtype=np.int64)
-    fast_det = fast & (outcome_fast == n_bins - 1)
-    new_mult[fast_det] = 1
-    if event_free.size:
-        new_mult[event_free] = ens.mult[event_free]
-    for members in host_det:
-        new_mult[members] = 1
-
-    event_idx = np.flatnonzero(fast & ~fast_det)
-    spawn_states: list[np.ndarray] = []
-    spawn_mult: list[int] = []
-    spawn_group: list[int] = []
-    spawn_parent: list[int] = []
-
-    def spawn(parent: int, state: np.ndarray, count: int):
-        spawn_states.append(state)
-        spawn_mult.append(count)
-        spawn_group.append(int(ens.group[parent]))
-        spawn_parent.append(parent)
-
-    merged_events = sorted(set(event_idx.tolist()) | set(special_results.keys()))
-    for i in merged_events:
-        if i in special_results:
-            counts, n_rev = special_results[i]
-            jump_counts = counts[:n_jump_bins]
-            rev_counts = counts[n_jump_bins : n_jump_bins + n_rev]
-            k_dc = int(counts[n_jump_bins + n_rev])
-            k_det = int(counts[-1])
-            for b in np.flatnonzero(jump_counts):
-                spawn(i, scheme.jump_target(ctx, states, i, int(b)), int(jump_counts[b]))
-            for r in np.flatnonzero(rev_counts):
-                target = int(rev_class[int(obj_class[i])][1][int(r)])
-                spawn(i, rev_targets[target].copy(), int(rev_counts[r]))
-        else:
-            o = int(outcome_fast[i])
-            k_det = 0
-            k_dc = 1 if o == n_bins - 2 else 0
-            if o < n_jump_bins:
-                spawn(i, scheme.jump_target(ctx, states, i, o), 1)
-        if k_dc > 0 and not is_vanish[i]:
+    # -- apply outcomes at the barrier; new objects are spawned in object order
+    replicated = np.where(pd > 0.0, 0, counts[:, DC])
+    spawns: list[tuple[int, np.ndarray, int]] = []  # (parent, state, count)
+    for i in np.flatnonzero((counts[:, :DET] > 0).any(axis=1)):
+        spawns += [(i, scheme.jump_target(ctx, states, i, int(b)), counts[i, b])
+                   for b in np.flatnonzero(counts[i, :REV])]
+        if i in rev_counts:
+            targets = exits[int(obj_class[i])][1]
+            spawns += [(i, sources[targets[e]], rev_counts[i][e]) for e in np.flatnonzero(rev_counts[i])]
+        if replicated[i]:
             # replication: parents continue deterministically, copies split off
-            spawn(i, det_states[i].copy(), k_dc)
-            k_det += k_dc
-        new_mult[i] = k_det
+            spawns.append((i, det_states[i], replicated[i]))
 
     ens.states = det_states
-    ens.mult = new_mult
-    if spawn_states:
-        n_new = len(spawn_states)
-        ids = np.arange(ens.next_id, ens.next_id + n_new, dtype=np.uint64)
-        ens.next_id += n_new
-        k0 = np.empty(n_new, dtype=np.uint64)
-        k1 = np.empty(n_new, dtype=np.uint64)
-        for c, parent in enumerate(spawn_parent):
+    ens.mult = counts[:, DET] + replicated
+    if spawns:
+        keys = []
+        for parent, _, _ in spawns:
             ens.spawned[parent] += np.uint64(1)
-            kk0, kk1 = stream_key(ens.seed, int(ens.ids[parent]), int(ens.spawned[parent]))
-            k0[c] = kk0
-            k1[c] = kk1
-        ens.states = np.concatenate([ens.states, np.stack(spawn_states)])
-        ens.mult = np.concatenate([ens.mult, np.array(spawn_mult, dtype=np.int64)])
-        ens.group = np.concatenate([ens.group, np.array(spawn_group, dtype=np.int64)])
-        ens.ids = np.concatenate([ens.ids, ids])
-        ens.key0 = np.concatenate([ens.key0, k0])
-        ens.key1 = np.concatenate([ens.key1, k1])
-        ens.ctr = np.concatenate([ens.ctr, np.zeros(n_new, dtype=np.uint64)])
-        ens.spawned = np.concatenate([ens.spawned, np.zeros(n_new, dtype=np.uint64)])
+            keys.append(stream_key(ens.seed, int(ens.ids[parent]), int(ens.spawned[parent])))
+        parents = [parent for parent, _, _ in spawns]
+        ens._append_rows(np.stack([state for _, state, _ in spawns]), [int(c) for _, _, c in spawns],
+                         ens.group[parents], keys)
     ens.drop_empty()
+    return counts
 
 
 def _apply_source(model, ens, src_key, step, t, dt):

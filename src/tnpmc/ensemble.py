@@ -73,6 +73,9 @@ class Trajectory:
 
 
 class Ensemble:
+    # per-member arrays, all indexed by member
+    _FIELDS = ("states", "mult", "group", "ids", "key0", "key1", "ctr", "spawned")
+
     def __init__(self, dim: int, n_ref: int, seed: int, time: float = 0.0, n_groups: int = 1):
         if n_ref < 1:
             raise InvalidParameter(f"n_ref must be >= 1, got {n_ref}")
@@ -141,21 +144,25 @@ class Ensemble:
         """Append (state, multiplicity, group) members with fresh ids and streams."""
         if not rows:
             return
-        n_new = len(rows)
-        new_states = np.stack([r[0] for r in rows])
-        new_mult = np.array([r[1] for r in rows], dtype=np.int64)
-        new_group = np.array([r[2] for r in rows], dtype=np.int64)
-        new_ids = np.arange(self.next_id, self.next_id + n_new, dtype=np.uint64)
-        keys = [stream_key(self.seed, int(i), 0) for i in new_ids]
+        keys = [stream_key(self.seed, self.next_id + c, 0) for c in range(len(rows))]
+        self._append_rows(np.stack([r[0] for r in rows]), [r[1] for r in rows], [r[2] for r in rows], keys)
+
+    def _append_rows(self, states, mult, group, keys) -> None:
+        """Append members with fresh ids, the given stream keys and zero counters."""
+        n_new = len(keys)
+        new = {
+            "states": states,
+            "mult": np.array(mult, dtype=np.int64),
+            "group": np.array(group, dtype=np.int64),
+            "ids": np.arange(self.next_id, self.next_id + n_new, dtype=np.uint64),
+            "key0": np.array([k[0] for k in keys], dtype=np.uint64),
+            "key1": np.array([k[1] for k in keys], dtype=np.uint64),
+            "ctr": np.zeros(n_new, dtype=np.uint64),
+            "spawned": np.zeros(n_new, dtype=np.uint64),
+        }
         self.next_id += n_new
-        self.states = np.concatenate([self.states, new_states])
-        self.mult = np.concatenate([self.mult, new_mult])
-        self.group = np.concatenate([self.group, new_group])
-        self.ids = np.concatenate([self.ids, new_ids])
-        self.key0 = np.concatenate([self.key0, np.array([k[0] for k in keys], dtype=np.uint64)])
-        self.key1 = np.concatenate([self.key1, np.array([k[1] for k in keys], dtype=np.uint64)])
-        self.ctr = np.concatenate([self.ctr, np.zeros(n_new, dtype=np.uint64)])
-        self.spawned = np.concatenate([self.spawned, np.zeros(n_new, dtype=np.uint64)])
+        for name in self._FIELDS:
+            setattr(self, name, np.concatenate([getattr(self, name), new[name]]))
 
     # -- inspection ---------------------------------------------------------
 
@@ -225,7 +232,7 @@ class Ensemble:
 
     def copy(self) -> "Ensemble":
         out = Ensemble(self.dim, self.n_ref, self.seed, self.time, self.n_groups)
-        for name in ("states", "mult", "group", "ids", "key0", "key1", "ctr", "spawned"):
+        for name in self._FIELDS:
             setattr(out, name, getattr(self, name).copy())
         out.next_id = self.next_id
         return out
@@ -254,29 +261,27 @@ class Ensemble:
         np.minimum.at(rep, inverse, np.arange(self.size))
         summed = np.zeros(first_idx.shape[0], dtype=np.int64)
         np.add.at(summed, inverse, self.mult)
-        order = np.sort(rep)
-        pos = {r: i for i, r in enumerate(rep)}
-        keep = order
-        self.states = self.states[keep]
-        self.group = self.group[keep]
-        self.ids = self.ids[keep]
-        self.key0 = self.key0[keep]
-        self.key1 = self.key1[keep]
-        self.ctr = self.ctr[keep]
-        self.spawned = self.spawned[keep]
-        self.mult = np.array([summed[pos[r]] for r in keep], dtype=np.int64)
+        order = np.argsort(rep)  # survivors stay in array order
+        keep = rep[order]
+        for name in self._FIELDS:
+            setattr(self, name, getattr(self, name)[keep])
+        self.mult = summed[order]
 
     def drop_empty(self) -> None:
         alive = self.mult > 0
         if alive.all():
             return
-        for name in ("states", "mult", "group", "ids", "key0", "key1", "ctr", "spawned"):
+        for name in self._FIELDS:
             setattr(self, name, getattr(self, name)[alive])
 
     # -- serialization -------------------------------------------------------
 
     def to_jsonl(self, path) -> None:
-        """JSON-lines checkpoint: one member per line plus a header record."""
+        """JSON-lines checkpoint: a header record, then one member per line.
+
+        Stream keys, draw counters and spawn counts are stored, so a run
+        resumed from the checkpoint continues bit for bit.
+        """
         with open(path, "w", encoding="utf-8") as fh:
             header = {
                 "dim": self.dim,
@@ -284,6 +289,7 @@ class Ensemble:
                 "seed": self.seed,
                 "time": self.time,
                 "n_groups": self.n_groups,
+                "next_id": self.next_id,
             }
             fh.write(json.dumps(header) + "\n")
             for i in range(self.size):
@@ -291,36 +297,36 @@ class Ensemble:
                     "id": int(self.ids[i]),
                     "multiplicity": int(self.mult[i]),
                     "group": int(self.group[i]),
+                    "key0": int(self.key0[i]),
+                    "key1": int(self.key1[i]),
+                    "ctr": int(self.ctr[i]),
+                    "spawned": int(self.spawned[i]),
                     "amplitudes": [[float(z.real), float(z.imag)] for z in self.states[i]],
                 }
                 fh.write(json.dumps(rec) + "\n")
 
     @classmethod
     def from_jsonl(cls, path) -> "Ensemble":
-        """Restore a checkpoint; streams are re-derived from (seed, id)."""
+        """Restore a checkpoint written by :meth:`to_jsonl`, streams included."""
         with open(path, "r", encoding="utf-8") as fh:
             header = json.loads(fh.readline())
-            ens = cls(
-                dim=header["dim"],
-                n_ref=header["n_ref"],
-                seed=header["seed"],
-                time=header["time"],
-                n_groups=header.get("n_groups", 1),
-            )
-            rows = []
-            max_id = -1
-            ids = []
-            for line in fh:
-                rec = json.loads(line)
-                amps = np.array([complex(re, im) for re, im in rec["amplitudes"]])
-                rows.append((amps, rec["multiplicity"], rec.get("group", 0)))
-                ids.append(rec["id"])
-                max_id = max(max_id, rec["id"])
-        ens._append_members(rows)
-        if ids:
-            ens.ids = np.array(ids, dtype=np.uint64)
-            keys = [stream_key(ens.seed, int(i), 0) for i in ids]
-            ens.key0 = np.array([k[0] for k in keys], dtype=np.uint64)
-            ens.key1 = np.array([k[1] for k in keys], dtype=np.uint64)
-            ens.next_id = max_id + 1
+            records = [json.loads(line) for line in fh]
+        member_keys = ("id", "multiplicity", "group", "key0", "key1", "ctr", "spawned", "amplitudes")
+        if "next_id" not in header or any(k not in rec for rec in records for k in member_keys):
+            raise InvalidParameter(f"checkpoint {path} lacks stream state (next_id, key0, key1, ctr, spawned)")
+        ens = cls(
+            dim=header["dim"],
+            n_ref=header["n_ref"],
+            seed=header["seed"],
+            time=header["time"],
+            n_groups=header.get("n_groups", 1),
+        )
+        if records:
+            ens.states = np.array([[complex(re, im) for re, im in r["amplitudes"]] for r in records])
+            ens.mult = np.array([r["multiplicity"] for r in records], dtype=np.int64)
+            ens.group = np.array([r["group"] for r in records], dtype=np.int64)
+            for name, key in (("ids", "id"), ("key0", "key0"), ("key1", "key1"), ("ctr", "ctr"),
+                              ("spawned", "spawned")):
+                setattr(ens, name, np.array([r[key] for r in records], dtype=np.uint64))
+        ens.next_id = header["next_id"]
         return ens

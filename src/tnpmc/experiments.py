@@ -131,7 +131,7 @@ def check_cutoff_leakage(traj: OperatorTrajectory, tol: float) -> float:
     return worst
 
 
-def run_photon_counting(cfg: PhotonCountingConfig, threads: int = 1) -> MomentSeries:
+def run_photon_counting(cfg: PhotonCountingConfig) -> MomentSeries:
     """Stage-by-stage unraveling of the moment hierarchy.
 
     Stage k evolves an initially empty ensemble fed by Poisson creations from
@@ -177,7 +177,7 @@ def run_photon_counting(cfg: PhotonCountingConfig, threads: int = 1) -> MomentSe
             continue
         seed_g = stream_key(cfg.seed, _TOWER_TAG, g * 64)[0]
         ens0 = Ensemble.sample_initial([(1.0, psi0)], n_g, seed=seed_g)
-        res = mcwf.run(base, ens0, grid, record_every=1, threads=threads,
+        res = mcwf.run(base, ens0, grid, record_every=1,
                        jump_mass_limit=cfg.jump_mass_limit, record_distinct=False)
         avg_prev = OperatorTrajectory(grid, res.average_states)
         scale_prev = np.ones(n_steps + 1)
@@ -228,7 +228,7 @@ def run_photon_counting(cfg: PhotonCountingConfig, threads: int = 1) -> MomentSe
             )
             seed_gk = stream_key(cfg.seed, _TOWER_TAG, g * 64 + k)[0]
             ens_k = Ensemble.empty(base.dim, n_ref=n_g, seed=seed_gk)
-            res_k = mcwf.run(staged, ens_k, grid, record_every=1, threads=threads,
+            res_k = mcwf.run(staged, ens_k, grid, record_every=1,
                              jump_mass_limit=cfg.jump_mass_limit, record_distinct=False)
             tower_mu[k - 1, g] = scale[rec_idx] * res_k.trace_estimates[rec_idx]
             avg_prev = OperatorTrajectory(grid, res_k.average_states)
@@ -271,7 +271,7 @@ class TiltedTraceResult:
         return ["t", "zeta", "trace_est", "trace_exact"]
 
 
-def run_tilted_trace(cfg: PhotonCountingConfig, n_groups: int = 100, threads: int = 1) -> TiltedTraceResult:
+def run_tilted_trace(cfg: PhotonCountingConfig, n_groups: int = 100) -> TiltedTraceResult:
     """Direct runs of the tilted generator for each zeta in cfg.zeta_list."""
     grid = TimeGrid(0.0, cfg.t_final, cfg.dt)
     psi0 = fock_plus_superposition(cfg.n_max)
@@ -290,7 +290,7 @@ def run_tilted_trace(cfg: PhotonCountingConfig, n_groups: int = 100, threads: in
             [(1.0, psi0)], cfg.n_trajectories, seed=stream_key(cfg.seed, _TILT_TAG, zi)[0],
             n_groups=n_groups,
         )
-        res = mcwf.run(model, ens, grid, record_every=cfg.record_every, threads=threads,
+        res = mcwf.run(model, ens, grid, record_every=cfg.record_every,
                        jump_mass_limit=cfg.jump_mass_limit)
         est[zi] = res.trace_estimates
         se[zi] = bootstrap_se_sums(res.group_counts / res.n_ref, rng)
@@ -398,7 +398,7 @@ def validate_strongly_driven(cfg: HeisenbergConfig, grid: TimeGrid) -> None:
         raise InvalidParameter("gamma_plus/gamma_minus must stay positive on the grid")
 
 
-def run_heisenberg(cfg: HeisenbergConfig, threads: int = 1) -> HeisenbergResult:
+def run_heisenberg(cfg: HeisenbergConfig) -> HeisenbergResult:
     """Unravel the observable evolution via weighted positive components.
 
     Each observable is split into positive parts, every part is evolved as its
@@ -449,7 +449,6 @@ def run_heisenberg(cfg: HeisenbergConfig, threads: int = 1) -> HeisenbergResult:
                 grid,
                 record_every=cfg.record_every,
                 observables={"pairing": rho_s},
-                threads=threads,
             )
             est_parts.append((coef, res.group_observables["pairing"]))
             trace_parts.append((coef, res.group_counts / res.n_ref))

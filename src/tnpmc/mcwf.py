@@ -256,7 +256,11 @@ class McwfScheme:
         return lp / np.linalg.norm(lp)
 
     def reverse_entries(self, ctx, uniq_keys, uniq_states, uniq_counts, match_fn) -> dict:
-        """Host-state exits for every (negative channel, snapshot source) pair."""
+        """Host-state exits for every (negative channel, snapshot source) pair.
+
+        Raises NoSourceState when the host L psi'/||L psi'|| of a source psi'
+        is absent from the snapshot, instead of dropping its weight.
+        """
         entries: dict[int, list] = {}
         for j, rate in enumerate(ctx["rates"]):
             if rate >= 0.0:
@@ -267,11 +271,16 @@ class McwfScheme:
             if valid.size == 0:
                 continue
             hosts = match_fn(uniq_keys, img[valid] / np.sqrt(inorm2[valid])[:, None])
-            for v, host in zip(valid, hosts):
-                if host < 0:
-                    continue
-                weight = abs(rate) * ctx["dt"] * float(inorm2[v]) * float(uniq_counts[v])
-                entries.setdefault(int(host), []).append((weight, int(v), j))
+            weights = abs(rate) * ctx["dt"] * inorm2[valid] * uniq_counts[valid]
+            lost = hosts < 0
+            if lost.any():
+                raise NoSourceState(
+                    f"reverse jumps through channel {j} at t = {ctx['t']:.6g} have no host state in the "
+                    f"ensemble for {int(lost.sum())} source state(s); lost weight "
+                    f"{float(weights[lost].sum()):.3e} realizations per step"
+                )
+            for v, host, weight in zip(valid, hosts, weights):
+                entries.setdefault(int(host), []).append((float(weight), int(v), j))
         return entries
 
 
@@ -284,7 +293,6 @@ def run(
     record_every: int = 1,
     merge: Optional[bool] = None,
     observables: Optional[dict[str, np.ndarray]] = None,
-    threads: int = 1,
     jump_mass_limit: float = engine.JUMP_MASS_LIMIT,
     record_distinct: bool = True,
 ) -> engine.RunResult:
@@ -298,7 +306,6 @@ def run(
         record_every=record_every,
         merge=merge,
         observables=observables,
-        threads=threads,
         jump_mass_limit=jump_mass_limit,
         record_distinct=record_distinct,
     )

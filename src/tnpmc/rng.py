@@ -95,32 +95,26 @@ def batched_uniform_words(key0: np.ndarray, key1: np.ndarray, counter: np.ndarra
     return _to_unit(w0), _to_unit(w1), _to_unit(w2), _to_unit(w3)
 
 
-import threading
-
-_local = threading.local()
+_PHILOX = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+_GENERATOR = np.random.Generator(_PHILOX)
 
 
 def make_generator(key0: int, key1: int, counter: int) -> np.random.Generator:
     """Generator on the (key, counter) stream, on a counter block disjoint
     from the one ``batched_uniforms`` consumes (word 3 tagged 1).
 
-    A thread-local Philox instance is re-keyed in place, so repeated calls
-    avoid bit-generator construction overhead.
+    One module-level Philox instance is re-keyed in place, so repeated calls
+    avoid bit-generator construction overhead; each call invalidates the
+    generator returned by the previous one.
     """
-    pair = getattr(_local, "philox", None)
-    if pair is None:
-        bg = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-        pair = (bg, np.random.Generator(bg))
-        _local.philox = pair
-    bg, gen = pair
-    st = bg.state
+    st = _PHILOX.state
     st["state"]["counter"][:] = (0, 0, counter, 1)
     st["state"]["key"][:] = (key0, key1)
     st["buffer_pos"] = 4
     st["has_uint32"] = 0
     st["uinteger"] = 0
-    bg.state = st
-    return gen
+    _PHILOX.state = st
+    return _GENERATOR
 
 
 def binomial_inverse(m: np.ndarray, p: np.ndarray, u: np.ndarray) -> np.ndarray:

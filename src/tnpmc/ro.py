@@ -259,6 +259,8 @@ class RoScheme:
         return phase_fix(ctx["vectors"][i][:, b])
 
     def reverse_entries(self, ctx, uniq_keys, uniq_states, uniq_counts, match_fn) -> dict:
+        """Host-state exits for every negative eigenbranch of a snapshot source;
+        NoSourceState when the branch eigenvector is absent from the snapshot."""
         lam, vec = np.linalg.eigh(self._rate_operators(ctx, uniq_states))
         entries: dict[int, list] = {}
         dt = ctx["dt"]
@@ -269,9 +271,12 @@ class RoScheme:
                 if lam[v, a] >= NEG_BRANCH_TOL:
                     continue
                 host = int(match_fn(uniq_keys, phase_fix(vec[v][:, a])[None, :])[0])
-                if host < 0:
-                    continue
                 weight = abs(float(lam[v, a])) * dt * float(uniq_counts[v])
+                if host < 0:
+                    raise NoSourceState(
+                        f"reverse jump through eigenbranch {a} of source state {v} at t = {ctx['t']:.6g} "
+                        f"has no host state in the ensemble; lost weight {weight:.3e} realizations per step"
+                    )
                 entries.setdefault(host, []).append((weight, v, a))
         return entries
 
@@ -286,7 +291,6 @@ def run(
     record_every: int = 1,
     merge: Optional[bool] = None,
     observables: Optional[dict[str, np.ndarray]] = None,
-    threads: int = 1,
     jump_mass_limit: float = engine.JUMP_MASS_LIMIT,
     record_distinct: bool = True,
 ) -> engine.RunResult:
@@ -300,7 +304,6 @@ def run(
         record_every=record_every,
         merge=merge,
         observables=observables,
-        threads=threads,
         jump_mass_limit=jump_mass_limit,
         record_distinct=record_distinct,
     )

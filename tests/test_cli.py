@@ -113,6 +113,16 @@ def test_negative_probability_exit_code(tmp_path):
     assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 3
 
 
+def test_reverse_jump_without_host_exit_code(tmp_path, capsys):
+    cfg = amplitude_damping_config(reverse_jumps=True, t_final=1.2, initial_state=[[0.7071, 0.0], [0.7071, 0.0]])
+    cfg["model"]["channels"][0]["rate"] = {"kind": "sinusoid", "amplitude": 1.0, "frequency": 2.0}
+    cfg["model"]["gamma"] = {"kind": "lindblad_plus_identity", "shift": 0.3}
+    cfg["model"]["hamiltonian"] = [[[0.0, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.0, 0.0]]]
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 3
+    assert "NoSourceState" in capsys.readouterr().err
+
+
 def test_exact_command(tmp_path):
     cfg = {
         "command": "exact",

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
-from tnpmc import Ensemble, TimeGrid, mcwf
+from tnpmc import Ensemble, JumpChannel, TimeGrid, TnpModel, mcwf, pauli_ops
 from tnpmc.ensemble import canonical_key, canonical_key_rows, largest_remainder
-from tnpmc.errors import EmptyDecomposition
+from tnpmc.errors import EmptyDecomposition, InvalidParameter
 
 from helpers import qubit_decay_model, random_state
 
@@ -122,6 +124,33 @@ def test_jsonl_round_trip(tmp_path):
     assert np.array_equal(back.mult, ens.mult)
     assert np.array_equal(back.ids, ens.ids)
     assert np.abs(back.average_state() - ens.average_state()).max() <= 1e-12
+
+
+def test_checkpoint_resume_is_bit_identical(tmp_path):
+    # time-independent model: a grid split at t = 0.2 differs from the
+    # unsplit one in the last bit of t0 + i * dt
+    p = pauli_ops()
+    model = TnpModel(dim=2, hamiltonian=0.5 * p.x, channels=(JumpChannel(1.0, p.minus),),
+                     gamma=np.zeros((2, 2), dtype=complex))
+    ens = Ensemble.sample_initial([(1.0, KET1)], 200, seed=5)
+    whole = mcwf.run(model, ens, TimeGrid(0.0, 0.4, 1e-2), merge=False).final_ensemble
+    half = mcwf.run(model, ens, TimeGrid(0.0, 0.2, 1e-2), merge=False).final_ensemble
+    path = tmp_path / "checkpoint.jsonl"
+    half.to_jsonl(path)
+    resumed = mcwf.run(model, Ensemble.from_jsonl(path), TimeGrid(0.2, 0.4, 1e-2), merge=False).final_ensemble
+    assert resumed.total_count() == whole.total_count() > 200
+    for name in Ensemble._FIELDS:
+        assert np.array_equal(getattr(resumed, name), getattr(whole, name)), name
+    assert resumed.next_id == whole.next_id
+
+
+def test_checkpoint_without_stream_state_rejected(tmp_path):
+    path = tmp_path / "old.jsonl"
+    header = {"dim": 2, "n_ref": 1, "seed": 3, "time": 0.0, "n_groups": 1}
+    member = {"id": 0, "multiplicity": 1, "group": 0, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}
+    path.write_text(json.dumps(header) + "\n" + json.dumps(member) + "\n", encoding="utf-8")
+    with pytest.raises(InvalidParameter, match="stream state"):
+        Ensemble.from_jsonl(path)
 
 
 def test_run_reproducibility_and_average_invariance():

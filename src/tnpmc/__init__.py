@@ -17,7 +17,7 @@ from .divisibility import (
     divisibility_report,
     max_bloch_norm,
 )
-from .ensemble import Ensemble, Trajectory, canonical_key
+from .ensemble import Ensemble
 from .engine import RunResult
 from .exact import (
     DynamicalMap,
@@ -46,16 +46,6 @@ from .linops import (
     split_hermitian,
     split_positive,
 )
-from .mcwf import (
-    OutcomeKind,
-    StepOutcome,
-    StepProbabilities,
-    advance_trajectory,
-    deterministic_step,
-    reverse_jump_probability,
-    source_creation_events,
-    step_probabilities,
-)
 from .model import (
     JumpChannel,
     SourceTerm,
@@ -66,12 +56,5 @@ from .model import (
     pauli_ops,
     tilted_lindbladian,
 )
-from .ro import (
-    RateOperator,
-    RoStrategy,
-    rate_operator,
-    ro_advance_trajectory,
-    ro_reverse_jump_probability,
-    ro_step_probabilities,
-)
+from .ro import RoStrategy
 from . import mcwf, ro  # noqa: F401  (scheme-level runners: mcwf.run / ro.run)

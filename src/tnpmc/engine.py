@@ -125,7 +125,8 @@ def run(
     for step in range(grid.n_steps):
         t = grid.time_at(step)
         _advance_step(model, ens, scheme, t, dt, reverse_jumps, jump_mass_limit)
-        _apply_source(model, ens, src_key, step, t, dt)
+        _apply_source(model, ens, src_key, t, dt)
+        ens.steps += 1
         if merge:
             ens._merge_in_place()
         ens.time = grid.time_at(step + 1)
@@ -169,9 +170,10 @@ def _advance_step(model, ens, scheme, t, dt, reverse_jumps, jump_mass_limit=JUMP
 
     neg_mask = raw_bins < scheme.negative_tol
     if neg_mask.any() and not reverse_jumps:
-        j = int(np.argwhere(neg_mask.any(axis=0))[0][0])
+        i, b = (int(v) for v in np.argwhere(neg_mask)[0])
         raise NegativeProbability(
-            f"jump branch {j} has negative probability at t = {t:.6g}; enable reverse jumps"
+            f"object {i} (multiplicity {int(mult[i])}): jump branch {b} has negative probability "
+            f"{raw_bins[i, b]:.3e} at step {ens.steps}, t = {t:.6g}; enable reverse jumps"
         )
     pos_bins = np.where(raw_bins < 0.0, 0.0, raw_bins)
     n_jump = pos_bins.shape[1]
@@ -195,13 +197,19 @@ def _advance_step(model, ens, scheme, t, dt, reverse_jumps, jump_mass_limit=JUMP
     jump_mass = pos_bins.sum(axis=1)
     pdet = 1.0 - jump_mass - rev_total - pdc  # residual deterministic weight
 
-    worst = float((jump_mass + rev_total + pd).max())
-    if worst > jump_mass_limit:
+    event_mass = jump_mass + rev_total + pd
+    i = int(np.argmax(event_mass))
+    if event_mass[i] > jump_mass_limit:
         raise StepTooLarge(
-            f"jump+disappearance probability {worst:.3g} exceeds {jump_mass_limit} at t = {t:.6g}; reduce dt"
+            f"jump+disappearance probability {event_mass[i]:.3g} exceeds {jump_mass_limit} at step "
+            f"{ens.steps}, t = {t:.6g} for {_guard_detail(mult, i, pos_bins, rev_total, pd, pdc)}; reduce dt"
         )
-    if float(pdet.min()) < -1e-12:
-        raise StepTooLarge(f"outcome probabilities exceed 1 at t = {t:.6g}; reduce dt")
+    i = int(np.argmin(pdet))
+    if pdet[i] < -1e-12:
+        raise StepTooLarge(
+            f"outcome probabilities exceed 1 by {-pdet[i]:.3g} at step {ens.steps}, t = {t:.6g} "
+            f"for {_guard_detail(mult, i, pos_bins, rev_total, pd, pdc)}; reduce dt"
+        )
 
     u0, u1, u2, u3 = batched_uniform_words(ens.key0, ens.key1, ens.ctr)
     counts = np.zeros((n, n_jump + 3), dtype=np.int64)
@@ -299,7 +307,20 @@ def _advance_step(model, ens, scheme, t, dt, reverse_jumps, jump_mass_limit=JUMP
     return counts
 
 
-def _apply_source(model, ens, src_key, step, t, dt):
+def _guard_detail(mult, i, pos_bins, rev_total, pd, pdc):
+    """Object i, its largest outcome branch and its event masses, for guard errors."""
+    labels = [f"jump branch {b}" for b in range(pos_bins.shape[1])]
+    labels += ["reverse", "disappearance", "replication"]
+    mass = np.concatenate([pos_bins[i], [rev_total[i], pd[i], pdc[i] - pd[i]]]) + 0.0  # no "-0" in the text
+    k = int(np.argmax(mass))
+    rev, vanish, copy = mass[-3:]
+    return (
+        f"object {i} (multiplicity {int(mult[i])}), largest mass {mass[k]:.3g} in {labels[k]} "
+        f"(jump {mass[:-3].sum():.3g}, reverse {rev:.3g}, disappearance {vanish:.3g}, replication {copy:.3g})"
+    )
+
+
+def _apply_source(model, ens, src_key, t, dt):
     # midpoint evaluation keeps the per-step creation quadrature at O(dt^2)
     s = model.source_at(t + 0.5 * dt)
     if s is None:
@@ -309,7 +330,8 @@ def _apply_source(model, ens, src_key, step, t, dt):
     if float(vals.min()) < -NEG_SOURCE_TOL:
         raise NegativeSource(f"source eigenvalue {vals.min():.3e} below -{NEG_SOURCE_TOL} at t = {t:.6g}")
     vals = np.maximum(vals, 0.0)
-    gen = make_generator(src_key[0], src_key[1], step)
+    # keyed by the ensemble's own step count, which a checkpoint carries across a resume
+    gen = make_generator(src_key[0], src_key[1], ens.steps)
     rows = []
     for i in range(vals.shape[0]):
         if vals[i] <= 0.0:

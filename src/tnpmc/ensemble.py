@@ -1,15 +1,14 @@
 """Multiset of pure-state realizations with integer multiplicities.
 
-The ensemble is stored as parallel arrays so the stepping engine can batch
-linear algebra across all trajectories; :class:`Trajectory` objects are views
-used at API boundaries. Total counts may grow or shrink during a run; the
-fixed reference count ``n_ref`` normalizes the ensemble average.
+The ensemble is stored as parallel per-member arrays (``_FIELDS``) so the
+stepping engine can batch linear algebra across all members. Total counts may
+grow or shrink during a run; the fixed reference count ``n_ref`` normalizes
+the ensemble average.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -34,11 +33,6 @@ def canonical_key_rows(states: np.ndarray, quantum: float = KEY_QUANTUM) -> np.n
     return np.round(cols / quantum).astype(np.int64)
 
 
-def canonical_key(state: np.ndarray, quantum: float = KEY_QUANTUM) -> bytes:
-    """Hashable canonical key of a single state."""
-    return canonical_key_rows(state[None, :], quantum)[0].tobytes()
-
-
 def largest_remainder(weights: Sequence[float], n: int) -> np.ndarray:
     """Deterministic proportional allocation of n items; ties broken by index."""
     w = np.asarray(weights, dtype=float)
@@ -57,19 +51,6 @@ def largest_remainder(weights: Sequence[float], n: int) -> np.ndarray:
         order = np.lexsort((np.arange(w.size), -frac))
         counts[order[:short]] += 1
     return counts
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Read-only view of one ensemble member."""
-
-    id: int
-    state: np.ndarray
-    multiplicity: int
-    group: int
-    key: tuple[int, int]
-    counter: int
-    spawned: int
 
 
 class Ensemble:
@@ -95,6 +76,7 @@ class Ensemble:
         self.ctr = np.zeros(0, dtype=np.uint64)
         self.spawned = np.zeros(0, dtype=np.uint64)
         self.next_id = 0
+        self.steps = 0  # engine steps taken; keys the source-term stream
 
     # -- construction -------------------------------------------------------
 
@@ -170,21 +152,6 @@ class Ensemble:
     def size(self) -> int:
         return self.states.shape[0]
 
-    @property
-    def members(self) -> list[Trajectory]:
-        return [
-            Trajectory(
-                id=int(self.ids[i]),
-                state=self.states[i].copy(),
-                multiplicity=int(self.mult[i]),
-                group=int(self.group[i]),
-                key=(int(self.key0[i]), int(self.key1[i])),
-                counter=int(self.ctr[i]),
-                spawned=int(self.spawned[i]),
-            )
-            for i in range(self.size)
-        ]
-
     def total_count(self) -> int:
         return int(self.mult.sum())
 
@@ -203,21 +170,6 @@ class Ensemble:
             return 0
         return np.unique(canonical_key_rows(self.states), axis=0).shape[0]
 
-    def count_snapshot(self) -> dict[bytes, tuple[int, np.ndarray]]:
-        """Canonical key -> (total count, representative state), built per step."""
-        snap: dict[bytes, tuple[int, np.ndarray]] = {}
-        if self.size == 0:
-            return snap
-        rows = canonical_key_rows(self.states)
-        for i in range(self.size):
-            k = rows[i].tobytes()
-            if k in snap:
-                cnt, rep = snap[k]
-                snap[k] = (cnt + int(self.mult[i]), rep)
-            else:
-                snap[k] = (int(self.mult[i]), self.states[i])
-        return snap
-
     def group_counts(self) -> np.ndarray:
         return np.bincount(self.group, weights=self.mult, minlength=self.n_groups).astype(np.int64)
 
@@ -235,6 +187,7 @@ class Ensemble:
         for name in self._FIELDS:
             setattr(out, name, getattr(self, name).copy())
         out.next_id = self.next_id
+        out.steps = self.steps
         return out
 
     def merge_duplicates(self) -> "Ensemble":
@@ -279,8 +232,8 @@ class Ensemble:
     def to_jsonl(self, path) -> None:
         """JSON-lines checkpoint: a header record, then one member per line.
 
-        Stream keys, draw counters and spawn counts are stored, so a run
-        resumed from the checkpoint continues bit for bit.
+        Stream keys, draw counters, spawn counts and the step counter are
+        stored, so a run resumed from the checkpoint continues bit for bit.
         """
         with open(path, "w", encoding="utf-8") as fh:
             header = {
@@ -290,6 +243,7 @@ class Ensemble:
                 "time": self.time,
                 "n_groups": self.n_groups,
                 "next_id": self.next_id,
+                "steps": self.steps,
             }
             fh.write(json.dumps(header) + "\n")
             for i in range(self.size):
@@ -312,8 +266,10 @@ class Ensemble:
             header = json.loads(fh.readline())
             records = [json.loads(line) for line in fh]
         member_keys = ("id", "multiplicity", "group", "key0", "key1", "ctr", "spawned", "amplitudes")
-        if "next_id" not in header or any(k not in rec for rec in records for k in member_keys):
-            raise InvalidParameter(f"checkpoint {path} lacks stream state (next_id, key0, key1, ctr, spawned)")
+        missing = [k for k in ("next_id", "steps") if k not in header]
+        missing += [k for k in member_keys if any(k not in rec for rec in records)]
+        if missing:
+            raise InvalidParameter(f"checkpoint {path} lacks stream state: {', '.join(missing)}")
         ens = cls(
             dim=header["dim"],
             n_ref=header["n_ref"],
@@ -329,4 +285,5 @@ class Ensemble:
                               ("spawned", "spawned")):
                 setattr(ens, name, np.array([r[key] for r in records], dtype=np.uint64))
         ens.next_id = header["next_id"]
+        ens.steps = header["steps"]
         return ens

@@ -81,13 +81,6 @@ def _to_unit(words: np.ndarray) -> np.ndarray:
     return (words >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
 
 
-def batched_uniforms(key0: np.ndarray, key1: np.ndarray, counter: np.ndarray) -> np.ndarray:
-    """One uniform in [0, 1) per (key, counter) lane, evaluated in a single pass."""
-    zeros = np.zeros_like(counter)
-    w0, _, _, _ = philox_words(counter, zeros, zeros, zeros, key0, key1)
-    return _to_unit(w0)
-
-
 def batched_uniform_words(key0: np.ndarray, key1: np.ndarray, counter: np.ndarray):
     """All four independent uniforms of each lane's counter block."""
     zeros = np.zeros_like(counter)
@@ -101,7 +94,7 @@ _GENERATOR = np.random.Generator(_PHILOX)
 
 def make_generator(key0: int, key1: int, counter: int) -> np.random.Generator:
     """Generator on the (key, counter) stream, on a counter block disjoint
-    from the one ``batched_uniforms`` consumes (word 3 tagged 1).
+    from the one ``batched_uniform_words`` consumes (word 3 tagged 1).
 
     One module-level Philox instance is re-keyed in place, so repeated calls
     avoid bit-generator construction overhead; each call invalidates the
@@ -138,13 +131,3 @@ def binomial_inverse(m: np.ndarray, p: np.ndarray, u: np.ndarray) -> np.ndarray:
         # guard against fp tails: stop once pmf underflows or k reaches m
         active = newly & (pmf > 0.0) & (k < m)
     return np.minimum(k, m.astype(np.int64))
-
-
-def uniform_at(key0: int, key1: int, counter: int) -> float:
-    """Scalar convenience wrapper around :func:`batched_uniforms`."""
-    u = batched_uniforms(
-        np.array([key0], dtype=np.uint64),
-        np.array([key1], dtype=np.uint64),
-        np.array([counter], dtype=np.uint64),
-    )
-    return float(u[0])

@@ -21,7 +21,6 @@ from tnpmc import (
     mcwf,
     pauli_ops,
     ro,
-    step_probabilities,
 )
 from tnpmc.cli import main as cli_main
 from tnpmc.divisibility import divisibility_report
@@ -36,15 +35,16 @@ from tnpmc.experiments import (
     run_tilted_trace,
 )
 from tnpmc.model import heisenberg_qubit
-from tnpmc.ro import RoStrategy
+from tnpmc.mcwf import McwfScheme
+from tnpmc.ro import RoScheme, RoStrategy
 
 from helpers import (
+    StepTable,
     liouvillian_pure,
-    mcwf_step_expectation,
     qubit_decay_model,
     random_state,
     random_tnp_model,
-    ro_step_expectation,
+    step_expectation,
 )
 
 P = pauli_ops()
@@ -78,8 +78,8 @@ def test_criterion_1_probability_normalization():
         model = random_tnp_model(rng, dim, n_channels=int(rng.integers(1, 4)))
         psi = random_state(rng, dim)
         t = float(rng.uniform(0.0, 2.0))
-        probs = step_probabilities(model, psi, t, 1e-3)
-        worst = max(worst, abs(probs.total - 1.0))
+        probs = StepTable(McwfScheme(), model, psi, t, 1e-3)
+        worst = max(worst, abs(probs.total(0) - 1.0))
     crit.finish(worst <= 1e-12, f"(worst |sum-1| = {worst:.2e})")
 
 
@@ -93,7 +93,7 @@ def test_criterion_2_one_step_unbiasedness():
         proj = np.outer(psi, psi.conj())
         drift = liouvillian_pure(model, 0.0, psi)
         for dt in residuals:
-            got = mcwf_step_expectation(model, psi, 0.0, dt)
+            got = step_expectation(McwfScheme(), model, psi, 0.0, dt)
             residuals[dt] += np.abs(got - (proj + dt * drift)).max()
     ratio = residuals[1e-3] / residuals[1e-4]
     crit.finish(50.0 <= ratio <= 200.0, f"(residual ratio = {ratio:.1f})")
@@ -202,7 +202,7 @@ def test_criterion_5_ro_equivalence():
         proj = np.outer(psi, psi.conj())
         drift = liouvillian_pure(m, 0.0, psi)
         for dt in residuals:
-            got = ro_step_expectation(m, psi, 0.0, dt, strategy)
+            got = step_expectation(RoScheme(strategy), m, psi, 0.0, dt)
             residuals[dt] += np.abs(got - (proj + dt * drift)).max()
     ratio = residuals[1e-3] / residuals[1e-4]
     ok = z_eq <= 3.0 and 50.0 <= ratio <= 200.0

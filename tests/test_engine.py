@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from tnpmc import Ensemble, JumpChannel, OutcomeKind, TimeGrid, TimeScalar, TnpModel, mcwf, pauli_ops, ro
+from tnpmc import Ensemble, JumpChannel, TimeGrid, TimeScalar, TnpModel, mcwf, pauli_ops, ro
 from tnpmc.engine import _advance_step
 from tnpmc.errors import NoSourceState
 from tnpmc.mcwf import McwfScheme
-from tnpmc.rng import uniform_at
+from tnpmc.rng import batched_uniform_words
+
+from helpers import StepTable
 
 P = pauli_ops()
 PROJ0 = P.minus @ P.plus
@@ -33,12 +35,11 @@ def rotated(theta):
     return np.array([np.cos(theta), np.sin(theta)], dtype=complex)
 
 
-# (state, multiplicity). Sources of reverse jumps come in decreasing theta,
-# which is both their array order and their canonical-key order, so the
-# exits of the host |0> are listed in the same order by the engine and by
-# advance_trajectory. Lumps: 3 realizations mostly draw k = 0 events,
-# 40 draw 1 <= k <= 3, 200 draw k > 3, and 1000 has m * p > 32; the hosted
-# lumps of 20 and 100 draw 1 <= k <= 3 and k > 3.
+# (state, multiplicity). The host |0> has one reverse exit per source of
+# theta < pi/2; the oracle table lists them in canonical-key order, as the
+# engine does, whatever their array order. Lumps: 3 realizations mostly draw
+# k = 0 events, 40 draw 1 <= k <= 3, 200 draw k > 3, and 1000 has m * p > 32;
+# the hosted lumps of 20 and 100 draw 1 <= k <= 3 and k > 3.
 SOURCES = [(1.5, 1), (1.45, 1), (1.4, 1), (1.3, 1), (1.2, 1), (1.1, 1), (1.05, 40), (1.0, 1),
            (0.9, 1), (0.45, 40), (0.4, 3), (0.35, 200), (0.32, 1000)]
 SOURCES += [(theta, 1) for theta in np.arange(0.30, 0.05, -0.02)]
@@ -57,12 +58,12 @@ def test_one_step_reaches_every_branch_and_keeps_the_ledger():
     model = crafted_model()
     n_jump = len(model.channels)
     rev, dc, det = n_jump, n_jump + 1, n_jump + 2
-    kinds = {OutcomeKind.JUMP, OutcomeKind.REVERSE_JUMP, OutcomeKind.VANISH,
-             OutcomeKind.REPLICATE, OutcomeKind.DETERMINISTIC}
+    column = {"reverse": rev, "vanish": dc, "replicate": dc, "deterministic": det}
     seen = set()
     for seed in range(40):
         ens = crafted_ensemble(seed)
-        snapshot = ens.count_snapshot()
+        table = StepTable(McwfScheme(), model, ens.states, 0.0, DT, counts=ens.mult)
+        u = batched_uniform_words(ens.key0, ens.key1, ens.ctr)[0]
         work = ens.copy()
         counts = _advance_step(model, work, McwfScheme(), 0.0, DT, True)
         assert counts.shape == (ens.size, n_jump + 3)
@@ -83,27 +84,19 @@ def test_one_step_reaches_every_branch_and_keeps_the_ledger():
                 assert max(near) >= 1.0 - 1e-3 or abs(np.vdot(ens.states[i], state)) ** 2 >= 1.0 - 1e-3
             hosted = bool(abs(ens.states[i][0]) == 1.0)
             if m == 1:
-                traj = ens.members[i]
-                u = uniform_at(traj.key[0], traj.key[1], traj.counter)
-                outcome = mcwf.advance_trajectory(model, traj, 0.0, DT, count_snapshot=snapshot,
-                                                  reverse_jumps=True, u=u)
-                column = {OutcomeKind.JUMP: outcome.channel, OutcomeKind.REVERSE_JUMP: rev,
-                          OutcomeKind.VANISH: dc, OutcomeKind.REPLICATE: dc,
-                          OutcomeKind.DETERMINISTIC: det}[outcome.kind]
-                assert counts[i, column] == 1
-                group_states = work.states[work.group == i]
-                expected_total = {OutcomeKind.VANISH: 0, OutcomeKind.REPLICATE: 2}.get(outcome.kind, 1)
-                assert after[i] == expected_total
-                for state in group_states:
-                    assert np.abs(state - outcome.state).max() <= 1e-12
-                seen.add(("single", hosted, outcome.kind))
+                kind, expected = table.draw(i, u[i])
+                assert counts[i, kind[1] if kind[0] == "jump" else column[kind[0]]] == 1
+                assert after[i] == {"vanish": 0, "replicate": 2}.get(kind[0], 1)
+                for state in work.states[work.group == i]:
+                    assert np.abs(state - expected).max() <= 1e-12
+                seen.add(("single", hosted, kind[0]))
             else:
                 k = m - int(counts[i, det])
                 branch = "m*p>32" if m == 1000 else ("k=0" if k == 0 else ("k<=3" if k <= 3 else "k>3"))
                 seen.add(("lump", hosted, branch, bool(counts[i, rev])))
-    for kind in kinds - {OutcomeKind.REVERSE_JUMP}:
+    for kind in ("jump", "vanish", "replicate", "deterministic"):
         assert ("single", False, kind) in seen
-    for kind in (OutcomeKind.REVERSE_JUMP, OutcomeKind.JUMP, OutcomeKind.VANISH, OutcomeKind.DETERMINISTIC):
+    for kind in ("reverse", "jump", "vanish", "deterministic"):
         assert ("single", True, kind) in seen
     lump_branches = {(hosted, branch) for (_, hosted, branch, _) in (s for s in seen if s[0] == "lump")}
     assert {(False, "k=0"), (False, "k<=3"), (False, "k>3"), (False, "m*p>32")} <= lump_branches

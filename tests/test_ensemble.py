@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from tnpmc import Ensemble, JumpChannel, TimeGrid, TnpModel, mcwf, pauli_ops
-from tnpmc.ensemble import canonical_key, canonical_key_rows, largest_remainder
+from tnpmc.engine import _build_snapshot
+from tnpmc.ensemble import canonical_key_rows, largest_remainder
 from tnpmc.errors import EmptyDecomposition, InvalidParameter
+from tnpmc.model import SourceTerm
 
 from helpers import qubit_decay_model, random_state
 
@@ -90,20 +92,20 @@ def test_canonical_key_phase_and_noise_invariance():
     psi = random_state(rng, 4)
     noisy = psi * np.exp(1j * 2.1) + 1e-12 * random_state(rng, 4)
     noisy = noisy / np.linalg.norm(noisy)
-    assert canonical_key(psi) == canonical_key(noisy)
     other = random_state(rng, 4)
-    assert canonical_key(psi) != canonical_key(other)
     rows = canonical_key_rows(np.stack([psi, noisy, other]))
     assert np.array_equal(rows[0], rows[1])
     assert not np.array_equal(rows[0], rows[2])
 
 
 def test_count_snapshot():
+    # the engine's per-step snapshot: one class per canonical key, counts summed
     ens = Ensemble.empty(2, n_ref=10, seed=0)
     ens._append_members([(KET0, 3, 0), (np.exp(0.4j) * KET0, 4, 0), (KET1, 2, 0)])
-    snap = ens.count_snapshot()
-    assert len(snap) == 2
-    assert snap[canonical_key(KET0)][0] == 7
+    keys, sources, counts, obj_class = _build_snapshot(ens.states, ens.mult)
+    assert len(keys) == 2
+    assert counts[obj_class[0]] == 7 and obj_class[0] == obj_class[1] != obj_class[2]
+    assert np.allclose(sources[obj_class[0]], KET0) and counts[obj_class[2]] == 2
 
 
 def test_group_observable_sums():
@@ -126,12 +128,14 @@ def test_jsonl_round_trip(tmp_path):
     assert np.abs(back.average_state() - ens.average_state()).max() <= 1e-12
 
 
-def test_checkpoint_resume_is_bit_identical(tmp_path):
+@pytest.mark.parametrize("source", [None, SourceTerm(0.5 * np.outer(KET1, KET1))], ids=["decay", "source"])
+def test_checkpoint_resume_is_bit_identical(tmp_path, source):
     # time-independent model: a grid split at t = 0.2 differs from the
-    # unsplit one in the last bit of t0 + i * dt
+    # unsplit one in the last bit of t0 + i * dt; the source term draws its
+    # creations on a stream keyed by the ensemble's step count
     p = pauli_ops()
     model = TnpModel(dim=2, hamiltonian=0.5 * p.x, channels=(JumpChannel(1.0, p.minus),),
-                     gamma=np.zeros((2, 2), dtype=complex))
+                     gamma=np.zeros((2, 2), dtype=complex), source=source)
     ens = Ensemble.sample_initial([(1.0, KET1)], 200, seed=5)
     whole = mcwf.run(model, ens, TimeGrid(0.0, 0.4, 1e-2), merge=False).final_ensemble
     half = mcwf.run(model, ens, TimeGrid(0.0, 0.2, 1e-2), merge=False).final_ensemble
@@ -142,6 +146,7 @@ def test_checkpoint_resume_is_bit_identical(tmp_path):
     for name in Ensemble._FIELDS:
         assert np.array_equal(getattr(resumed, name), getattr(whole, name)), name
     assert resumed.next_id == whole.next_id
+    assert resumed.steps == whole.steps == 40
 
 
 def test_checkpoint_without_stream_state_rejected(tmp_path):
@@ -150,6 +155,14 @@ def test_checkpoint_without_stream_state_rejected(tmp_path):
     member = {"id": 0, "multiplicity": 1, "group": 0, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}
     path.write_text(json.dumps(header) + "\n" + json.dumps(member) + "\n", encoding="utf-8")
     with pytest.raises(InvalidParameter, match="stream state"):
+        Ensemble.from_jsonl(path)
+    # a checkpoint without the step count that keys the source stream
+    Ensemble.sample_initial([(1.0, KET0)], 3, seed=3).to_jsonl(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    header = json.loads(lines[0])
+    del header["steps"]
+    path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n", encoding="utf-8")
+    with pytest.raises(InvalidParameter, match="stream state: steps$"):
         Ensemble.from_jsonl(path)
 
 

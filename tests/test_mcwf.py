@@ -4,30 +4,32 @@ import pytest
 from tnpmc import (
     Ensemble,
     JumpChannel,
-    OutcomeKind,
     TimeGrid,
     TimeScalar,
     TnpModel,
-    advance_trajectory,
-    deterministic_step,
     integrate,
     mcwf,
     pauli_ops,
-    reverse_jump_probability,
-    source_creation_events,
-    step_probabilities,
 )
-from tnpmc.errors import NegativeProbability, NegativeSource, NoSourceState, StepTooLarge, ZeroNorm
+from tnpmc.engine import SOURCE_STREAM_TAG, _apply_source
+from tnpmc.errors import NegativeProbability, NegativeSource, StepTooLarge, ZeroNorm
+from tnpmc.mcwf import McwfScheme
 from tnpmc.model import SourceTerm
-from tnpmc.rng import make_generator
+from tnpmc.rng import stream_key
 
 from helpers import (
+    StepTable,
+    ensemble_step_expectation,
+    first_uniforms,
     liouvillian_pure,
-    mcwf_step_expectation,
+    negative_rate_model,
+    one_step,
     qubit_decay_model,
     random_state,
     random_tnp_model,
-    reverse_ensemble_expectation,
+    seed_with_uniform,
+    step_expectation,
+    trace_gain_model,
 )
 
 P = pauli_ops()
@@ -35,6 +37,7 @@ PROJ1 = P.plus @ P.minus
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
+MCWF = McwfScheme()
 
 
 def doubled_gamma_model():
@@ -45,32 +48,28 @@ def doubled_gamma_model():
     )
 
 
+
 def test_step_probabilities_trace_decreasing():
-    probs = step_probabilities(doubled_gamma_model(), KET1, 0.0, 0.01)
-    assert probs.p_jump[0] == pytest.approx(0.01)
-    assert probs.p_d == pytest.approx(0.01)
-    assert probs.p_c == 0.0
-    assert probs.p_det == pytest.approx(0.98)
-    assert probs.total == pytest.approx(1.0, abs=1e-15)
+    probs = StepTable(MCWF, doubled_gamma_model(), KET1, 0.0, 0.01)
+    assert probs.bins[0, 0] == pytest.approx(0.01)
+    assert probs.p_d[0] == pytest.approx(0.01)
+    assert probs.p_c[0] == 0.0
+    assert probs.p_det(0) == pytest.approx(0.98)
+    assert probs.total(0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_step_probabilities_trace_increasing():
-    m = TnpModel(
-        dim=2, hamiltonian=np.zeros((2, 2)),
-        channels=(JumpChannel(1.0, P.minus),),
-        gamma=np.zeros((2, 2), dtype=complex),
-    )
-    probs = step_probabilities(m, KET1, 0.0, 0.01)
-    assert probs.p_jump[0] == pytest.approx(0.01)
-    assert probs.p_c == pytest.approx(0.01)
-    assert probs.p_d == 0.0
-    assert probs.p_det == pytest.approx(0.98)
+    probs = StepTable(MCWF, trace_gain_model(), KET1, 0.0, 0.01)
+    assert probs.bins[0, 0] == pytest.approx(0.01)
+    assert probs.p_c[0] == pytest.approx(0.01)
+    assert probs.p_d[0] == 0.0
+    assert probs.p_det(0) == pytest.approx(0.98)
 
 
 def test_step_probabilities_tp():
-    probs = step_probabilities(qubit_decay_model(), KET1, 0.0, 0.01)
-    assert probs.p_d == 0.0 and probs.p_c == 0.0
-    assert probs.p_jump.sum() + probs.p_det == pytest.approx(1.0, abs=1e-15)
+    probs = StepTable(MCWF, qubit_decay_model(), KET1, 0.0, 0.01)
+    assert probs.p_d[0] == 0.0 and probs.p_c[0] == 0.0
+    assert probs.bins[0].sum() + probs.p_det(0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_normalization_identity_random_models():
@@ -79,8 +78,8 @@ def test_normalization_identity_random_models():
         dim = int(rng.integers(2, 4))
         m = random_tnp_model(rng, dim)
         psi = random_state(rng, dim)
-        probs = step_probabilities(m, psi, float(rng.uniform(0, 2)), 1e-3)
-        assert abs(probs.total - 1.0) <= 1e-12
+        probs = StepTable(MCWF, m, psi, float(rng.uniform(0, 2)), 1e-3)
+        assert abs(probs.total(0) - 1.0) <= 1e-12
 
 
 def test_p_T_matches_trace_derivative():
@@ -88,33 +87,46 @@ def test_p_T_matches_trace_derivative():
     for _ in range(50):
         m = random_tnp_model(rng, 3)
         psi = random_state(rng, 3)
-        probs = step_probabilities(m, psi, 0.5, 1e-3)
+        probs = StepTable(MCWF, m, psi, 0.5, 1e-3)
         expected = 1e-3 * m.trace_derivative(0.5, np.outer(psi, psi.conj()))
-        assert probs.p_T - 1.0 == pytest.approx(expected, abs=1e-12)
+        assert probs.p_T(0) - 1.0 == pytest.approx(expected, abs=1e-12)
 
 
 def test_step_probabilities_guards():
-    with pytest.raises(StepTooLarge):
-        step_probabilities(qubit_decay_model(), KET1, 0.0, 0.5)
+    # the engine's guards name the object, its multiplicity, the branch and the mass
+    with pytest.raises(StepTooLarge, match=r"probability 0\.5 exceeds 0\.1 .*object 0 \(multiplicity 7\), "
+                       r"largest mass 0\.5 in jump branch 0 \(jump 0\.5, reverse 0, disappearance 0"):
+        mcwf.run(qubit_decay_model(), Ensemble.sample_initial([(1.0, KET1)], 7, seed=0),
+                 TimeGrid(0.0, 0.5, 0.5))
+    # Gamma = -200: replication alone pushes the outcome probabilities past one
+    gain = TnpModel(dim=2, hamiltonian=np.zeros((2, 2)), channels=(), gamma=-200.0 * np.eye(2, dtype=complex))
+    ens = Ensemble.empty(2, n_ref=4, seed=0)
+    ens._append_members([(KET0, 1, 0), (KET1, 3, 0)])
+    with pytest.raises(StepTooLarge, match=r"exceed 1 by 1 .*object 0 \(multiplicity 1\), "
+                       r"largest mass 2 in replication .*replication 2\)"):
+        mcwf.run(gain, ens, TimeGrid(0.0, 0.01, 0.01))
     neg = TnpModel(
         dim=2, hamiltonian=np.zeros((2, 2)),
         channels=(JumpChannel(-1.0, P.minus),),
         gamma=np.zeros((2, 2), dtype=complex),
     )
-    with pytest.raises(NegativeProbability):
-        step_probabilities(neg, KET1, 0.0, 0.01)
-    probs = step_probabilities(neg, KET1, 0.0, 0.01, allow_negative_rates=True)
-    assert probs.p_jump[0] == pytest.approx(-0.01)
+    ens = Ensemble.empty(2, n_ref=5, seed=0)
+    ens._append_members([(KET0, 2, 0), (KET1, 3, 0)])
+    with pytest.raises(NegativeProbability, match=r"object 1 \(multiplicity 3\): jump branch 0 has negative "
+                       r"probability -1\.000e-02 at step 0, t = 0;"):
+        mcwf.run(neg, ens, TimeGrid(0.0, 0.01, 0.01))
+    assert StepTable(MCWF, neg, KET1, 0.0, 0.01).bins[0, 0] == pytest.approx(-0.01)
 
 
 def test_deterministic_step_identity_when_free():
     m = TnpModel(dim=2, hamiltonian=np.zeros((2, 2)), channels=())
-    out = deterministic_step(m, PLUS, 0.0, 0.01)
+    out = MCWF.det_states(MCWF.prepare(m, 0.0, 0.01), PLUS[None, :])[0]
     assert np.allclose(out, PLUS)
 
 
 def test_deterministic_step_amplitude_damping():
-    out = deterministic_step(qubit_decay_model(), PLUS, 0.0, 0.01)
+    m = qubit_decay_model()
+    out = MCWF.det_states(MCWF.prepare(m, 0.0, 0.01), PLUS[None, :])[0]
     expected = np.array([1.0, 0.995]) / np.linalg.norm([1.0, 0.995])
     assert np.abs(out - expected).max() <= 1e-12
     assert np.allclose(out.real, [0.70886, 0.70534], atol=5e-5)
@@ -122,7 +134,7 @@ def test_deterministic_step_amplitude_damping():
 
 def test_deterministic_step_eigenstate_invariance():
     m = TnpModel(dim=2, hamiltonian=P.z, channels=())
-    out = deterministic_step(m, KET0, 0.0, 0.01)
+    out = MCWF.det_states(MCWF.prepare(m, 0.0, 0.01), KET0[None, :])[0]
     assert abs(abs(np.vdot(out, KET0)) - 1.0) <= 1e-12
 
 
@@ -131,71 +143,70 @@ def test_deterministic_step_zero_norm():
     m = TnpModel(dim=2, hamiltonian=np.zeros((2, 2)), channels=(),
                  gamma=np.diag([0.0, 200.0]).astype(complex))
     with pytest.raises(ZeroNorm):
-        deterministic_step(m, KET1, 0.0, 1e-2)
-
-
-def _traj(ens, i=0):
-    return ens.members[i]
+        MCWF.det_states(MCWF.prepare(m, 0.0, 1e-2), np.stack([KET0, KET1]))
 
 
 def test_advance_trajectory_forced_outcomes():
-    ens = Ensemble.sample_initial([(1.0, KET1)], 1, seed=0)
-    traj = _traj(ens)
-    out = advance_trajectory(qubit_decay_model(), traj, 0.0, 0.01, u=0.005)
-    assert out.kind is OutcomeKind.JUMP
-    assert np.allclose(out.state, KET0)
-    out = advance_trajectory(doubled_gamma_model(), traj, 0.0, 0.01, u=0.015)
-    assert out.kind is OutcomeKind.VANISH
-    free = TnpModel(dim=2, hamiltonian=np.zeros((2, 2)),
-                    channels=(JumpChannel(1.0, P.minus),), gamma=np.zeros((2, 2), dtype=complex))
-    out = advance_trajectory(free, traj, 0.0, 0.01, u=0.015)
-    assert out.kind is OutcomeKind.REPLICATE
-    assert np.allclose(out.state, KET1)  # K KET1 is imaginary scaling, det state unchanged
-    out = advance_trajectory(free, traj, 0.0, 0.01, u=0.5)
-    assert out.kind is OutcomeKind.DETERMINISTIC
+    # one engine step of a single |1> realization, its outcome forced by
+    # choosing a seed whose stream uniform lies in the wanted bin
+    fin = one_step(mcwf.run, qubit_decay_model(), [(KET1, 1)], seed_with_uniform(0.0, 0.01))
+    assert fin.total_count() == 1 and np.allclose(fin.states[0], KET0)  # jump, p = 0.01
+    fin = one_step(mcwf.run, doubled_gamma_model(), [(KET1, 1)], seed_with_uniform(0.01, 0.02))
+    assert fin.total_count() == 0  # vanish, p_d = 0.01 after the jump bin
+    fin = one_step(mcwf.run, trace_gain_model(), [(KET1, 1)], seed_with_uniform(0.01, 0.02))
+    assert fin.total_count() == 2 and np.allclose(fin.states, KET1)  # replicate
+    fin = one_step(mcwf.run, trace_gain_model(), [(KET1, 1)], seed_with_uniform(0.02, 1.0))
+    assert fin.total_count() == 1 and np.allclose(fin.states[0], KET1)  # deterministic
+
 
 
 def test_reverse_jump_probability_formula():
-    p = reverse_jump_probability(-0.1, KET1, P.minus, n_psi=100, n_psi_prime=200, dt=0.01)
+    # host |0> (count 100) of the source |1> (count 200): 0.1 * 1 * (200/100) * 0.01
+    table = StepTable(MCWF, negative_rate_model(), [KET1, KET0], 0.0, 0.01, counts=[200, 100])
+    assert table.exits[0] == []
+    [(p, source)] = table.exits[1]
     assert p == pytest.approx(2e-3)
-    assert reverse_jump_probability(0.5, KET1, P.minus, 100, 200, 0.01) == 0.0
-    assert reverse_jump_probability(-0.1, KET1, P.minus, 100, 0, 0.01) == 0.0
-    with pytest.raises(NoSourceState):
-        reverse_jump_probability(-0.1, KET0, P.minus, 100, 200, 0.01)  # annihilated source
+    assert np.allclose(source, KET1)
+    # no source realizations, a non-negative rate, or an annihilated source
+    # (L |0> = 0) give no exit: the engine weights them zero
+    assert StepTable(MCWF, negative_rate_model(), [KET1, KET0], 0.0, 0.01, counts=[0, 100]).exits == [[], []]
+    assert StepTable(MCWF, qubit_decay_model(), [KET1, KET0], 0.0, 0.01, counts=[200, 100]).exits == [[], []]
+    assert StepTable(MCWF, negative_rate_model(), [KET0], 0.0, 0.01, counts=[100]).exits == [[]]
 
 
 def test_advance_trajectory_reverse_jump():
-    rate = TimeScalar.constant(-0.1)
-    m = TnpModel(dim=2, hamiltonian=np.zeros((2, 2)),
-                 channels=(JumpChannel(rate, P.minus),), gamma=lambda t: -0.1 * PROJ1)
-    ens = Ensemble.empty(2, n_ref=300, seed=0)
-    ens._append_members([(KET1, 200, 0), (KET0, 100, 0)])
-    snap = ens.count_snapshot()
-    traj = ens.members[1]  # a |0> realization
-    # reverse probability = 0.1 * 1 * (200/100) * 0.01 = 2e-3
-    out = advance_trajectory(m, traj, 0.0, 0.01, count_snapshot=snap, reverse_jumps=True, u=1e-3)
-    assert out.kind is OutcomeKind.REVERSE_JUMP
-    assert np.allclose(out.state, KET1)
-    out = advance_trajectory(m, traj, 0.0, 0.01, count_snapshot=snap, reverse_jumps=True, u=0.5)
-    assert out.kind is OutcomeKind.DETERMINISTIC
+    # the |0> realization (row 1) hosts the reverse exit of the two |1>
+    # realizations: probability 0.1 * (2/1) * 0.01 = 2e-3
+    rows = [(KET1, 2), (KET0, 1)]
+    model = negative_rate_model()
+    fin = one_step(mcwf.run, model, rows, seed_with_uniform(0.0, 2e-3, index=1), reverse_jumps=True)
+    assert fin.total_count() == 3 and np.allclose(np.abs(fin.states), np.abs(KET1))
+    fin = one_step(mcwf.run, model, rows, seed_with_uniform(2e-3, 1.0, index=1), reverse_jumps=True)
+    assert np.allclose(fin.states[fin.mult > 0], [KET1, KET0])
 
 
 def test_source_creation_events():
-    gen = make_generator(1, 2, 3)
-    assert source_creation_events(SourceTerm(np.zeros((2, 2))), 0.0, 0.01, 100, gen) == []
-    source = SourceTerm(np.outer(KET0, KET0.conj()))
-    # eta * n_ref * dt = 3
-    gen = make_generator(5, 6, 7)
+    src_key = stream_key(3, SOURCE_STREAM_TAG, 0)
+    ens = Ensemble.empty(2, n_ref=100, seed=3)
+    _apply_source(TnpModel(dim=2, hamiltonian=np.zeros((2, 2)), channels=(),
+                           source=SourceTerm(np.zeros((2, 2)))), ens, src_key, 0.0, 0.01)
+    assert ens.size == 0
+    model = TnpModel(dim=2, hamiltonian=np.zeros((2, 2)), channels=(),
+                     source=SourceTerm(np.outer(KET0, KET0.conj())))
+    # eta * n_ref * dt = 3 copies per step, drawn on the stream of the step count
     total = 0
     n_draws = 10_000
-    for i in range(n_draws):
-        events = source_creation_events(source, 0.0, 0.03, 100, gen)
-        total += sum(c for _, c in events)
-        if events:
-            assert np.allclose(np.abs(events[0][0]), np.abs(KET0))
+    for step in range(n_draws):
+        ens = Ensemble.empty(2, n_ref=100, seed=3)
+        ens.steps = step
+        _apply_source(model, ens, src_key, 0.0, 0.03)
+        total += ens.total_count()
+        if ens.size:
+            assert ens.size == 1 and np.allclose(np.abs(ens.states[0]), np.abs(KET0))
     assert abs(total / n_draws - 3.0) <= 0.06
     with pytest.raises(NegativeSource):
-        source_creation_events(SourceTerm(-1e-3 * np.eye(2)), 0.0, 0.01, 100, gen)
+        _apply_source(TnpModel(dim=2, hamiltonian=np.zeros((2, 2)), channels=(),
+                               source=SourceTerm(-1e-3 * np.eye(2))), ens, src_key, 0.0, 0.01)
 
 
 def test_one_step_unbiasedness_single_model():
@@ -205,7 +216,7 @@ def test_one_step_unbiasedness_single_model():
     proj = np.outer(psi, psi.conj())
     residuals = []
     for dt in (1e-2, 1e-3, 1e-4):
-        got = mcwf_step_expectation(m, psi, 0.0, dt)
+        got = step_expectation(MCWF, m, psi, 0.0, dt)
         expected = proj + dt * liouvillian_pure(m, 0.0, psi)
         residuals.append(np.abs(got - expected).max())
     assert 50.0 <= residuals[0] / residuals[1] <= 200.0
@@ -227,7 +238,7 @@ def test_reverse_jump_unbiasedness_fixed_snapshot():
     rho = sum(c * np.outer(s, s.conj()) for c, s in members) / n_ref
     residuals = []
     for dt in (1e-3, 1e-4):
-        got = reverse_ensemble_expectation(m, members, 0.0, dt, n_ref)
+        got = ensemble_step_expectation(MCWF, m, members, 0.0, dt, n_ref)
         expected = rho + dt * m.apply_liouvillian(0.0, rho)
         residuals.append(np.abs(got - expected).max())
     assert residuals[0] <= 1e-4
@@ -251,19 +262,24 @@ def test_run_trace_increasing_matches_oracle():
     assert np.abs(res.trace_estimates - exact).max() <= 0.05
 
 
-def test_engine_matches_advance_trajectory():
+def test_engine_matches_oracle_inverse_cdf():
+    # one engine step of a single realization lands where the inverse CDF of
+    # its stream uniform over the kernels' outcome table points
     m = doubled_gamma_model()
-    grid = TimeGrid(0.0, 0.01, 0.01)
-    for seed in range(12):
-        ens = Ensemble.sample_initial([(1.0, PLUS)], 1, seed=seed)
-        res = mcwf.run(m, ens, grid, record_every=1, merge=False)
-        outcome = advance_trajectory(m, ens.members[0], 0.0, 0.01)
-        fin = res.final_ensemble
-        if outcome.kind is OutcomeKind.VANISH:
+    # jump and vanish bins are [0, 0.005) and [0.005, 0.01)
+    seeds = [seed_with_uniform(0.0, 0.005), seed_with_uniform(0.005, 0.01)] + list(range(12))
+    table = StepTable(MCWF, m, PLUS, 0.0, 0.01)
+    kinds = set()
+    for seed, u in zip(seeds, first_uniforms(seeds)):
+        kind, state = table.draw(0, u)
+        kinds.add(kind[0])
+        fin = one_step(mcwf.run, m, [(PLUS, 1)], seed)
+        if kind[0] == "vanish":
             assert fin.size == 0
         else:
             assert fin.size == 1
-            assert np.abs(fin.states[0] - outcome.state).max() <= 1e-12
+            assert np.abs(fin.states[0] - state).max() <= 1e-12
+    assert kinds == {"jump", "vanish", "deterministic"}
 
 
 def test_run_trace_increasing_exponential_law():
@@ -321,5 +337,6 @@ def test_run_negative_rates_guard():
                  channels=(JumpChannel(rate, P.minus),),
                  gamma=lambda t: np.cos(2 * t) * PROJ1 + 0.3 * np.eye(2))
     ens = Ensemble.sample_initial([(1.0, PLUS)], 50, seed=2)
-    with pytest.raises(NegativeProbability):
+    # the rate cos(2 t) turns negative after t = pi/4
+    with pytest.raises(NegativeProbability, match=r"jump branch 0 .* at step 79, t = 0\.79;"):
         mcwf.run(m, ens, TimeGrid(0.0, 1.0, 1e-2))

@@ -22,6 +22,7 @@ from . import __version__, divisibility, exact, experiments, mcwf, ro
 from .ensemble import Ensemble
 from .errors import (
     ConfigError,
+    CountLedgerError,
     CutoffLeakage,
     DimensionMismatch,
     EmptyDecomposition,
@@ -48,6 +49,7 @@ NUMERICAL_ERRORS = (
     NegativeSource,
     NoSourceState,
     ZeroNorm,
+    CountLedgerError,
 )
 VALIDATION_ERRORS = (
     ConfigError,

@@ -3,12 +3,13 @@
 Each step advances every object against an immutable snapshot of the
 ensemble: probabilities are computed in batched array passes, and every
 realization gets one outcome (jump, reverse jump, disappearance or
-replication, or deterministic drift). Objects of multiplicity 1 draw it with
-one uniform from their own counter-based stream; larger objects split their
-count with a binomial, categorical or multinomial draw on the same stream.
-Structural changes, source creations included, are applied at the
-end-of-step barrier in object order, so results are bit-identical given
-``(config, seed)``.
+replication, or deterministic drift). All draws of a step come from one
+random stream keyed by the seed and the step counter, consumed in array
+order: objects of multiplicity 1 take one uniform, larger objects split their
+count with a binomial, categorical or multinomial draw. Structural changes,
+source creations included, are applied at the end-of-step barrier in object
+order, so results are bit-identical given ``(config, seed)``, and the count
+ledger is checked after every change.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 
 from .ensemble import Ensemble, canonical_key_rows
 from .errors import (
+    CountLedgerError,
     InvalidParameter,
     NegativeProbability,
     NegativeSource,
@@ -31,7 +33,8 @@ from .model import TnpModel
 from .rng import batched_uniform_words, binomial_inverse, make_generator, stream_key
 
 JUMP_MASS_LIMIT = 0.1
-SOURCE_STREAM_TAG = 0x536F757263655454  # reserved id far above any trajectory id
+STEP_STREAM_TAG = 0x5374657053747265  # stream_key tag of the per-step outcome stream
+SOURCE_STREAM_TAG = 0x536F757263655454  # stream_key tag of the per-step source stream
 NEG_SOURCE_TOL = 1e-6
 
 
@@ -101,6 +104,7 @@ def run(
     ens = ensemble.copy()
     dt = grid.dt
     seed = ens.seed
+    step_key = stream_key(seed, STEP_STREAM_TAG)
     src_key = stream_key(seed, SOURCE_STREAM_TAG, 0)
 
     rec_times = []
@@ -124,7 +128,7 @@ def run(
     record()
     for step in range(grid.n_steps):
         t = grid.time_at(step)
-        _advance_step(model, ens, scheme, t, dt, reverse_jumps, jump_mass_limit)
+        _advance_step(model, ens, scheme, t, dt, reverse_jumps, step_key, jump_mass_limit)
         _apply_source(model, ens, src_key, t, dt)
         ens.steps += 1
         if merge:
@@ -148,8 +152,12 @@ def run(
     )
 
 
-def _advance_step(model, ens, scheme, t, dt, reverse_jumps, jump_mass_limit=JUMP_MASS_LIMIT):
+def _advance_step(model, ens, scheme, t, dt, reverse_jumps, step_key, jump_mass_limit=JUMP_MASS_LIMIT):
     """Draw one outcome per realization and apply all of them at the barrier.
+
+    The draws come from the stream of ``step_key`` at counter ``ens.steps``:
+    four uniforms per object (``batched_uniform_words``), then the
+    multinomial fallbacks in object order.
 
     Returns the outcome counts per object, an (n, J + 3) array with columns
     [jumps per channel or branch | reverse jumps | vanish or replicate |
@@ -211,7 +219,8 @@ def _advance_step(model, ens, scheme, t, dt, reverse_jumps, jump_mass_limit=JUMP
             f"for {_guard_detail(mult, i, pos_bins, rev_total, pd, pdc)}; reduce dt"
         )
 
-    u0, u1, u2, u3 = batched_uniform_words(ens.key0, ens.key1, ens.ctr)
+    gen = make_generator(step_key[0], step_key[1], ens.steps)
+    u0, u1, u2, u3 = batched_uniform_words(mult, gen)
     counts = np.zeros((n, n_jump + 3), dtype=np.int64)
     rev_counts: dict[int, np.ndarray] = {}  # object -> reverse jumps per exit of its class
 
@@ -265,7 +274,6 @@ def _advance_step(model, ens, scheme, t, dt, reverse_jumps, jump_mass_limit=JUMP
             i = int(multi[c])
             probs = exits.get(int(obj_class[i]), (np.zeros(0),))[0]
             ev = np.concatenate([pos_bins[i], probs, pdc[i : i + 1]])
-            gen = make_generator(int(ens.key0[i]), int(ens.key1[i]), int(ens.ctr[i]))
             if small[c]:
                 drawn = gen.multinomial(int(k[c]), ev / ev.sum())
             else:
@@ -278,7 +286,6 @@ def _advance_step(model, ens, scheme, t, dt, reverse_jumps, jump_mass_limit=JUMP
             counts[i, DC] = drawn[REV + r]
             if counts[i, REV]:
                 rev_counts[i] = drawn[REV : REV + r]
-    ens.ctr += np.uint64(1)
 
     # -- apply outcomes at the barrier; new objects are spawned in object order
     replicated = np.where(pd > 0.0, 0, counts[:, DC])
@@ -293,18 +300,28 @@ def _advance_step(model, ens, scheme, t, dt, reverse_jumps, jump_mass_limit=JUMP
             # replication: parents continue deterministically, copies split off
             spawns.append((i, det_states[i], replicated[i]))
 
+    before = int(mult.sum())
     ens.states = det_states
     ens.mult = counts[:, DET] + replicated
     if spawns:
-        keys = []
-        for parent, _, _ in spawns:
-            ens.spawned[parent] += np.uint64(1)
-            keys.append(stream_key(ens.seed, int(ens.ids[parent]), int(ens.spawned[parent])))
         parents = [parent for parent, _, _ in spawns]
         ens._append_rows(np.stack([state for _, state, _ in spawns]), [int(c) for _, _, c in spawns],
-                         ens.group[parents], keys)
+                         ens.group[parents])
     ens.drop_empty()
+    # jumps and reverse jumps move realizations; only the vanish/replicate bin changes the total
+    vanished = int(counts[pd > 0.0, DC].sum())
+    _check_ledger(ens, before - vanished + int(replicated.sum()), "step", t)
     return counts
+
+
+def _check_ledger(ens, expected, what, t):
+    """CountLedgerError unless the ensemble's total count equals ``expected``."""
+    total = int(ens.mult.sum())
+    if total != expected:
+        raise CountLedgerError(
+            f"count ledger broken by the {what} at step {ens.steps}, t = {t:.6g}: total count {total}, "
+            f"expected {expected}"
+        )
 
 
 def _guard_detail(mult, i, pos_bins, rev_total, pd, pdc):
@@ -332,6 +349,7 @@ def _apply_source(model, ens, src_key, t, dt):
     vals = np.maximum(vals, 0.0)
     # keyed by the ensemble's own step count, which a checkpoint carries across a resume
     gen = make_generator(src_key[0], src_key[1], ens.steps)
+    before = int(ens.mult.sum())
     rows = []
     for i in range(vals.shape[0]):
         if vals[i] <= 0.0:
@@ -347,3 +365,4 @@ def _apply_source(model, ens, src_key, t, dt):
             for g in np.flatnonzero(split):
                 rows.append((state, int(split[g]), int(g)))
     ens._append_members(rows)
+    _check_ledger(ens, before + sum(c for _, c, _ in rows), "source", t)

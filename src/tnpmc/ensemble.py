@@ -3,7 +3,9 @@
 The ensemble is stored as parallel per-member arrays (``_FIELDS``) so the
 stepping engine can batch linear algebra across all members. Total counts may
 grow or shrink during a run; the fixed reference count ``n_ref`` normalizes
-the ensemble average.
+the ensemble average. Members carry no random-stream state: the engine
+draws each step from one stream keyed by ``seed`` and the step counter
+``steps``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import numpy as np
 
 from .errors import EmptyDecomposition, InvalidParameter
 from .linops import phase_fix_rows
-from .rng import stream_key
+# stream_key is unused here, but bench/tracer.py wraps ensemble.stream_key by name
+from .rng import stream_key  # noqa: F401
 
 KEY_QUANTUM = 1e-8
 
@@ -53,9 +56,19 @@ def largest_remainder(weights: Sequence[float], n: int) -> np.ndarray:
     return counts
 
 
+def _run_starts(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable lexicographic order of the rows, and a mask over the sorted rows
+    that is True where a run of equal rows starts."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    starts = np.ones(rows.shape[0], dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return order, starts
+
+
 class Ensemble:
     # per-member arrays, all indexed by member
-    _FIELDS = ("states", "mult", "group", "ids", "key0", "key1", "ctr", "spawned")
+    _FIELDS = ("states", "mult", "group", "ids")
 
     def __init__(self, dim: int, n_ref: int, seed: int, time: float = 0.0, n_groups: int = 1):
         if n_ref < 1:
@@ -71,12 +84,8 @@ class Ensemble:
         self.mult = np.zeros(0, dtype=np.int64)
         self.group = np.zeros(0, dtype=np.int64)
         self.ids = np.zeros(0, dtype=np.uint64)
-        self.key0 = np.zeros(0, dtype=np.uint64)
-        self.key1 = np.zeros(0, dtype=np.uint64)
-        self.ctr = np.zeros(0, dtype=np.uint64)
-        self.spawned = np.zeros(0, dtype=np.uint64)
-        self.next_id = 0
-        self.steps = 0  # engine steps taken; keys the source-term stream
+        self.next_id = 0  # members ever appended; the next member's id
+        self.steps = 0  # engine steps taken; the counter of the per-step streams
 
     # -- construction -------------------------------------------------------
 
@@ -123,24 +132,19 @@ class Ensemble:
         return ens
 
     def _append_members(self, rows: Sequence[tuple[np.ndarray, int, int]]) -> None:
-        """Append (state, multiplicity, group) members with fresh ids and streams."""
+        """Append (state, multiplicity, group) members with fresh ids."""
         if not rows:
             return
-        keys = [stream_key(self.seed, self.next_id + c, 0) for c in range(len(rows))]
-        self._append_rows(np.stack([r[0] for r in rows]), [r[1] for r in rows], [r[2] for r in rows], keys)
+        self._append_rows(np.stack([r[0] for r in rows]), [r[1] for r in rows], [r[2] for r in rows])
 
-    def _append_rows(self, states, mult, group, keys) -> None:
-        """Append members with fresh ids, the given stream keys and zero counters."""
-        n_new = len(keys)
+    def _append_rows(self, states, mult, group) -> None:
+        """Append members with fresh ids."""
+        n_new = len(mult)
         new = {
             "states": states,
             "mult": np.array(mult, dtype=np.int64),
             "group": np.array(group, dtype=np.int64),
             "ids": np.arange(self.next_id, self.next_id + n_new, dtype=np.uint64),
-            "key0": np.array([k[0] for k in keys], dtype=np.uint64),
-            "key1": np.array([k[1] for k in keys], dtype=np.uint64),
-            "ctr": np.zeros(n_new, dtype=np.uint64),
-            "spawned": np.zeros(n_new, dtype=np.uint64),
         }
         self.next_id += n_new
         for name in self._FIELDS:
@@ -168,7 +172,7 @@ class Ensemble:
     def distinct_state_count(self) -> int:
         if self.size == 0:
             return 0
-        return np.unique(canonical_key_rows(self.states), axis=0).shape[0]
+        return int(_run_starts(canonical_key_rows(self.states))[1].sum())
 
     def group_counts(self) -> np.ndarray:
         return np.bincount(self.group, weights=self.mult, minlength=self.n_groups).astype(np.int64)
@@ -193,8 +197,8 @@ class Ensemble:
     def merge_duplicates(self) -> "Ensemble":
         """Merge members with equal canonical key within the same group.
 
-        The surviving member keeps the id/stream of the first occurrence in
-        array order; multiplicities are summed. The ensemble average is
+        The surviving member keeps the id of the first occurrence in array
+        order; multiplicities are summed. The ensemble average is
         unchanged up to the key quantum.
         """
         out = self.copy()
@@ -205,20 +209,17 @@ class Ensemble:
         if self.size <= 1:
             return
         rows = canonical_key_rows(self.states)
-        tagged = np.concatenate([self.group[:, None], rows], axis=1)
-        _, first_idx, inverse = np.unique(tagged, axis=0, return_index=True, return_inverse=True)
-        if first_idx.shape[0] == self.size:
+        order, starts = _run_starts(np.concatenate([self.group[:, None], rows], axis=1))
+        if starts.all():
             return
-        # representative: smallest array index in each duplicate class
-        rep = np.full(first_idx.shape[0], self.size, dtype=np.int64)
-        np.minimum.at(rep, inverse, np.arange(self.size))
-        summed = np.zeros(first_idx.shape[0], dtype=np.int64)
-        np.add.at(summed, inverse, self.mult)
-        order = np.argsort(rep)  # survivors stay in array order
-        keep = rep[order]
+        # the sort is stable, so each run of equal keys starts at its smallest array index
+        rep = order[starts]
+        summed = np.add.reduceat(self.mult[order], np.flatnonzero(starts))
+        survivors = np.argsort(rep)  # survivors stay in array order
+        keep = rep[survivors]
         for name in self._FIELDS:
             setattr(self, name, getattr(self, name)[keep])
-        self.mult = summed[order]
+        self.mult = summed[survivors]
 
     def drop_empty(self) -> None:
         alive = self.mult > 0
@@ -232,8 +233,9 @@ class Ensemble:
     def to_jsonl(self, path) -> None:
         """JSON-lines checkpoint: a header record, then one member per line.
 
-        Stream keys, draw counters, spawn counts and the step counter are
-        stored, so a run resumed from the checkpoint continues bit for bit.
+        The step counter, which keys the random streams, and the id counter
+        are stored, so a run resumed from the checkpoint continues bit for
+        bit.
         """
         with open(path, "w", encoding="utf-8") as fh:
             header = {
@@ -251,21 +253,17 @@ class Ensemble:
                     "id": int(self.ids[i]),
                     "multiplicity": int(self.mult[i]),
                     "group": int(self.group[i]),
-                    "key0": int(self.key0[i]),
-                    "key1": int(self.key1[i]),
-                    "ctr": int(self.ctr[i]),
-                    "spawned": int(self.spawned[i]),
                     "amplitudes": [[float(z.real), float(z.imag)] for z in self.states[i]],
                 }
                 fh.write(json.dumps(rec) + "\n")
 
     @classmethod
     def from_jsonl(cls, path) -> "Ensemble":
-        """Restore a checkpoint written by :meth:`to_jsonl`, streams included."""
+        """Restore a checkpoint written by :meth:`to_jsonl`, stream state included."""
         with open(path, "r", encoding="utf-8") as fh:
             header = json.loads(fh.readline())
             records = [json.loads(line) for line in fh]
-        member_keys = ("id", "multiplicity", "group", "key0", "key1", "ctr", "spawned", "amplitudes")
+        member_keys = ("id", "multiplicity", "group", "amplitudes")
         missing = [k for k in ("next_id", "steps") if k not in header]
         missing += [k for k in member_keys if any(k not in rec for rec in records)]
         if missing:
@@ -281,9 +279,7 @@ class Ensemble:
             ens.states = np.array([[complex(re, im) for re, im in r["amplitudes"]] for r in records])
             ens.mult = np.array([r["multiplicity"] for r in records], dtype=np.int64)
             ens.group = np.array([r["group"] for r in records], dtype=np.int64)
-            for name, key in (("ids", "id"), ("key0", "key0"), ("key1", "key1"), ("ctr", "ctr"),
-                              ("spawned", "spawned")):
-                setattr(ens, name, np.array([r[key] for r in records], dtype=np.uint64))
+            ens.ids = np.array([r["id"] for r in records], dtype=np.uint64)
         ens.next_id = header["next_id"]
         ens.steps = header["steps"]
         return ens

@@ -41,6 +41,10 @@ class NoSourceState(TnpmcError):
     """No candidate source state exists in the ensemble snapshot for a reverse jump."""
 
 
+class CountLedgerError(TnpmcError):
+    """The ensemble's total count disagrees with the events a step or source drew."""
+
+
 class EmptyDecomposition(TnpmcError):
     """An initial-state decomposition has no components."""
 

@@ -29,15 +29,19 @@ IMAGE_TOL = 1e-14  # ||L psi'||^2 below this has no reverse-jump source
 
 
 def step_context(model: TnpModel, t: float, dt: float) -> dict:
-    """Per-step inputs of the kernels of both schemes."""
+    """Per-step inputs of the kernels of both schemes; each model function is evaluated once."""
     rates = np.array([ch.rate_at(t) for ch in model.channels])
+    gamma_l = model.gamma_L_from_rates(rates)
     gdiff = None
-    if not model.is_trace_preserving:
-        gdiff = model.gamma_L(t) - model.gamma_at(t)
+    if model.is_trace_preserving:
+        gamma = gamma_l
+    else:
+        gamma = model.gamma_at(t)
+        gdiff = gamma_l - gamma
     return {
         "t": t,
         "dt": dt,
-        "K": model.effective_hamiltonian(t),
+        "K": model.hamiltonian_at(t) - 0.5j * gamma,
         "ops": model._ops,
         "rates": rates,
         "gdiff": gdiff,

@@ -142,9 +142,13 @@ class TnpModel:
 
     def gamma_L(self, t: float) -> np.ndarray:
         """Gamma_L = sum_j gamma_j(t) L_j^dag L_j."""
+        return self.gamma_L_from_rates([ch.rate_at(t) for ch in self.channels])
+
+    def gamma_L_from_rates(self, rates: Sequence[float]) -> np.ndarray:
+        """Gamma_L = sum_j rates[j] L_j^dag L_j for rates already evaluated at one time."""
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        for ch, op in zip(self.channels, self._ops):
-            out += ch.rate_at(t) * (op.conj().T @ op)
+        for rate, op in zip(rates, self._ops):
+            out += rate * (op.conj().T @ op)
         return out
 
     def gamma_at(self, t: float) -> np.ndarray:

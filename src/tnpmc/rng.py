@@ -1,24 +1,17 @@
-"""Counter-based random streams for reproducible trajectory stepping.
+"""Counter-based random streams for reproducible stepping.
 
-Every trajectory owns a Philox4x64 key derived from (seed, id, spawn index)
-plus a draw counter. Uniform variates for multiplicity-1 trajectories are
-produced in one vectorized pass over all keys; multi-realization draws
-(multinomial splits, Poisson creations) go through ``numpy.random.Generator``
-seeded with the same key on a disjoint counter block, so the two paths can
-never collide and results are independent of scheduling.
+``stream_key`` hashes (seed, tag, index) into a Philox4x64 key, and
+``make_generator`` opens the stream of a key at a counter block. The engine
+opens one stream per step, keyed by the seed and a step tag at the step
+counter, and consumes it in array order: four uniforms per object, then the
+multinomial draws of large lumps in object order. Source-term creations use
+another key at the same counter. Results therefore depend only on
+``(config, seed)``, and a resumed run needs only the step counter.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-_M0 = np.uint64(0xD2E7470EE14C6C93)
-_M1 = np.uint64(0xCA5A826395121157)
-_W0 = np.uint64(0x9E3779B97F4A7C15)
-_W1 = np.uint64(0xBB67AE8584CAA73B)
-_MASK32 = np.uint64(0xFFFFFFFF)
-_S32 = np.uint64(32)
-_U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 def splitmix64(x: int) -> int:
@@ -40,52 +33,13 @@ def stream_key(seed: int, a: int, b: int = 0) -> tuple[int, int]:
     return k0, k1
 
 
-def _mulhilo(a: np.uint64, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # 64x64 -> 128 bit product via 32-bit limbs (numpy has no native 128-bit).
-    ah = a >> _S32
-    al = a & _MASK32
-    bh = b >> _S32
-    bl = b & _MASK32
-    ll = al * bl
-    lh = al * bh
-    hl = ah * bl
-    mid = (ll >> _S32) + (lh & _MASK32) + (hl & _MASK32)
-    lo = (ll & _MASK32) | ((mid & _MASK32) << _S32)
-    hi = ah * bh + (lh >> _S32) + (hl >> _S32) + (mid >> _S32)
-    return hi, lo
+def batched_uniform_words(lanes: np.ndarray, gen: np.random.Generator):
+    """Four uniforms per lane, drawn as ``gen.random((4, n))`` row by row.
 
-
-def philox_words(c0, c1, c2, c3, k0, k1) -> tuple[np.ndarray, ...]:
-    """Philox4x64-10 block function; matches numpy's Philox bit for bit.
-
-    All arguments are uint64 scalars or equal-length arrays. Returns the four
-    output words of the counter block.
+    Lane i takes the i-th value of each row, so the first ``n`` draws of the
+    stream are the first uniforms of lanes 0..n-1 whatever ``n`` is.
     """
-    x0 = np.asarray(c0, dtype=np.uint64).copy()
-    x1 = np.asarray(c1, dtype=np.uint64).copy()
-    x2 = np.asarray(c2, dtype=np.uint64).copy()
-    x3 = np.asarray(c3, dtype=np.uint64).copy()
-    y0 = np.asarray(k0, dtype=np.uint64).copy()
-    y1 = np.asarray(k1, dtype=np.uint64).copy()
-    with np.errstate(over="ignore"):  # modular uint64 arithmetic by design
-        for _ in range(10):
-            hi0, lo0 = _mulhilo(_M0, x0)
-            hi1, lo1 = _mulhilo(_M1, x2)
-            x0, x1, x2, x3 = hi1 ^ x1 ^ y0, lo1, hi0 ^ x3 ^ y1, lo0
-            y0 = y0 + _W0
-            y1 = y1 + _W1
-    return x0, x1, x2, x3
-
-
-def _to_unit(words: np.ndarray) -> np.ndarray:
-    return (words >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
-
-
-def batched_uniform_words(key0: np.ndarray, key1: np.ndarray, counter: np.ndarray):
-    """All four independent uniforms of each lane's counter block."""
-    zeros = np.zeros_like(counter)
-    w0, w1, w2, w3 = philox_words(counter, zeros, zeros, zeros, key0, key1)
-    return _to_unit(w0), _to_unit(w1), _to_unit(w2), _to_unit(w3)
+    return tuple(gen.random((4, len(lanes))))
 
 
 _PHILOX = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
@@ -93,8 +47,7 @@ _GENERATOR = np.random.Generator(_PHILOX)
 
 
 def make_generator(key0: int, key1: int, counter: int) -> np.random.Generator:
-    """Generator on the (key, counter) stream, on a counter block disjoint
-    from the one ``batched_uniform_words`` consumes (word 3 tagged 1).
+    """Generator on the (key, counter) stream.
 
     One module-level Philox instance is re-keyed in place, so repeated calls
     avoid bit-generator construction overhead; each call invalidates the

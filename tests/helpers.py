@@ -6,8 +6,8 @@ from __future__ import annotations
 import numpy as np
 
 from tnpmc import Ensemble, JumpChannel, TimeGrid, TimeScalar, TnpModel, pauli_ops
-from tnpmc.engine import _build_snapshot, _match_keys
-from tnpmc.rng import batched_uniform_words, stream_key
+from tnpmc.engine import STEP_STREAM_TAG, _build_snapshot, _match_keys
+from tnpmc.rng import make_generator, stream_key
 
 
 def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -131,9 +131,10 @@ def ensemble_step_expectation(scheme, model, members, t, dt, n_ref):
 
 
 def first_uniforms(seeds, index=0):
-    """Uniform that member ``index`` of an ensemble built with each seed draws in its first step."""
-    keys = np.array([stream_key(int(s), index, 0) for s in seeds], dtype=np.uint64)
-    return batched_uniform_words(keys[:, 0], keys[:, 1], np.zeros(len(keys), dtype=np.uint64))[0]
+    """Uniform that member ``index`` of an ensemble built with each seed draws in its first step:
+    value ``index`` of the step stream at step 0, whatever the number of members."""
+    return np.array([make_generator(*stream_key(int(s), STEP_STREAM_TAG), 0).random(index + 1)[index]
+                     for s in seeds])
 
 
 def seed_with_uniform(lo, hi, index=0):

@@ -34,6 +34,10 @@ def test_tracer_installs_and_uninstalls_over_the_package(monkeypatch):
         metrics = t.collect()
         assert metrics["engine.steps"] == 2 * grid.n_steps
         assert metrics["mcwf.kernel_rows"] > 0 and metrics["ro.kernel_rows"] > 0
+        # one step stream per step: every object's uniforms come from one batched draw
+        objects = metrics["ensemble.objects_per_step"] * metrics["engine.steps"]
+        assert metrics["rng.uniform_lanes"] == round(objects) > 0
+        assert metrics["rng.generator_calls"] == metrics["engine.steps"]  # the model has no source
     finally:
         t.uninstall()
     for owner, attr, original in patched:

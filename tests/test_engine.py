@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from tnpmc import Ensemble, JumpChannel, TimeGrid, TimeScalar, TnpModel, mcwf, pauli_ops, ro
-from tnpmc.engine import _advance_step
-from tnpmc.errors import NoSourceState
+from tnpmc.engine import STEP_STREAM_TAG, _advance_step
+from tnpmc.errors import CountLedgerError, NoSourceState
+from tnpmc.model import SourceTerm
 from tnpmc.mcwf import McwfScheme
-from tnpmc.rng import batched_uniform_words
+from tnpmc.rng import batched_uniform_words, make_generator, stream_key
 
-from helpers import StepTable
+from helpers import StepTable, qubit_decay_model
 
 P = pauli_ops()
 PROJ0 = P.minus @ P.plus
@@ -63,9 +64,10 @@ def test_one_step_reaches_every_branch_and_keeps_the_ledger():
     for seed in range(40):
         ens = crafted_ensemble(seed)
         table = StepTable(McwfScheme(), model, ens.states, 0.0, DT, counts=ens.mult)
-        u = batched_uniform_words(ens.key0, ens.key1, ens.ctr)[0]
+        step_key = stream_key(seed, STEP_STREAM_TAG)
+        u = batched_uniform_words(ens.mult, make_generator(*step_key, ens.steps))[0]
         work = ens.copy()
-        counts = _advance_step(model, work, McwfScheme(), 0.0, DT, True)
+        counts = _advance_step(model, work, McwfScheme(), 0.0, DT, True, step_key)
         assert counts.shape == (ens.size, n_jump + 3)
         assert np.array_equal(counts.sum(axis=1), ens.mult)
         gdiff = model.gamma_at(0.0) - model.gamma_L(0.0)
@@ -121,3 +123,24 @@ def test_reverse_jumps_without_host_raise(runner, where):
     ens = Ensemble.sample_initial([(1.0, PLUS)], 200, seed=405)
     with pytest.raises(NoSourceState, match=f"{where} .*lost weight"):
         runner(model, ens, TimeGrid(0.0, 1.2, 1e-2), reverse_jumps=True)
+
+
+@pytest.mark.parametrize("where", ["step", "source"])
+def test_count_ledger_catches_a_lost_row(monkeypatch, where):
+    # decay spawns jumped rows in the step; the source-only model creates rows after it
+    if where == "step":
+        model = qubit_decay_model()
+    else:
+        model = TnpModel(dim=2, hamiltonian=np.zeros((2, 2)), channels=(), gamma=np.zeros((2, 2), dtype=complex),
+                         source=SourceTerm(0.5 * PROJ1))
+    ens = Ensemble.sample_initial([(1.0, PLUS)], 200, seed=7)
+    grid = TimeGrid(0.0, 0.2, DT)
+    assert mcwf.run(model, ens, grid).final_ensemble.next_id > ens.next_id  # rows were appended
+    append = Ensemble._append_rows
+
+    def drop_first_row(self, states, mult, group):
+        append(self, states[1:], mult[1:], group[1:])
+
+    monkeypatch.setattr(Ensemble, "_append_rows", drop_first_row)
+    with pytest.raises(CountLedgerError, match=f"by the {where} at step \\d+, t = .*total count \\d+, expected"):
+        mcwf.run(model, ens, grid)

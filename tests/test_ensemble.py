@@ -154,9 +154,10 @@ def test_checkpoint_without_stream_state_rejected(tmp_path):
     header = {"dim": 2, "n_ref": 1, "seed": 3, "time": 0.0, "n_groups": 1}
     member = {"id": 0, "multiplicity": 1, "group": 0, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}
     path.write_text(json.dumps(header) + "\n" + json.dumps(member) + "\n", encoding="utf-8")
-    with pytest.raises(InvalidParameter, match="stream state"):
+    # members need no stream fields; the header's step and id counters are required
+    with pytest.raises(InvalidParameter, match="stream state: next_id, steps$"):
         Ensemble.from_jsonl(path)
-    # a checkpoint without the step count that keys the source stream
+    # a checkpoint without the step count that keys the random streams
     Ensemble.sample_initial([(1.0, KET0)], 3, seed=3).to_jsonl(path)
     lines = path.read_text(encoding="utf-8").splitlines()
     header = json.loads(lines[0])

@@ -1,50 +1,48 @@
 import numpy as np
-from numpy.random import Philox
 
+from tnpmc.engine import SOURCE_STREAM_TAG, STEP_STREAM_TAG
 from tnpmc.rng import (
     batched_uniform_words,
     binomial_inverse,
     make_generator,
-    philox_words,
     splitmix64,
     stream_key,
 )
 
 
-def test_philox_matches_numpy_blocks():
-    # numpy's Philox advances the counter before generating, so emulate that
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        key = rng.integers(0, 2**63, size=2, dtype=np.uint64)
-        ctr = rng.integers(0, 2**63, size=4, dtype=np.uint64)
-        expect = Philox(key=key, counter=ctr).random_raw(4)
-        bumped = ctr.copy()
-        bumped[0] += np.uint64(1)
-        got = philox_words(bumped[0], bumped[1], bumped[2], bumped[3], key[0], key[1])
-        assert all(int(g) == int(e) for g, e in zip(got, expect))
-
-
 def test_batched_uniforms_deterministic_and_in_range():
-    k0 = np.arange(1000, dtype=np.uint64)
-    k1 = np.arange(1000, 2000, dtype=np.uint64)
-    ctr = np.full(1000, 7, dtype=np.uint64)
-    u = batched_uniform_words(k0, k1, ctr)[0]
-    assert np.array_equal(u, batched_uniform_words(k0, k1, ctr)[0])
+    lanes = np.ones(1000, dtype=np.int64)
+    u = batched_uniform_words(lanes, make_generator(123, 456, 7))[0]
+    assert u.shape == (1000,)
+    assert np.array_equal(u, batched_uniform_words(lanes, make_generator(123, 456, 7))[0])
     assert u.min() >= 0.0 and u.max() < 1.0
     # crude uniformity check
     assert abs(u.mean() - 0.5) < 0.05
-    u2 = batched_uniform_words(k0, k1, ctr + np.uint64(1))[0]
+    u2 = batched_uniform_words(lanes, make_generator(123, 456, 8))[0]
     assert not np.array_equal(u, u2)
 
 
 def test_uniform_words_independent():
-    k0 = np.arange(4000, dtype=np.uint64)
-    k1 = np.zeros(4000, dtype=np.uint64)
-    ctr = np.zeros(4000, dtype=np.uint64)
-    u0, u1, u2, u3 = batched_uniform_words(k0, k1, ctr)
+    u0, u1, u2, u3 = batched_uniform_words(np.ones(4000), make_generator(1, 0, 0))
     for u in (u0, u1, u2, u3):
         assert abs(u.mean() - 0.5) < 0.03
     assert abs(np.corrcoef(u0, u1)[0, 1]) < 0.05
+
+
+def test_step_stream_reproducible_distinct_and_prefix_stable():
+    step_key = stream_key(42, STEP_STREAM_TAG)
+
+    def step_words(step, n):
+        return np.stack(batched_uniform_words(np.ones(n), make_generator(*step_key, step)))
+
+    assert np.array_equal(step_words(3, 50), step_words(3, 50))
+    assert not np.array_equal(step_words(3, 50), step_words(4, 50))
+    source = make_generator(*stream_key(42, SOURCE_STREAM_TAG, 0), 3).random(200)
+    assert not np.isin(step_words(3, 50).ravel(), source).any()
+    # u0 of member i is value i of the step's stream, whatever the member count
+    small, large = step_words(3, 50), step_words(3, 300)
+    assert np.array_equal(small[0], large[0, :50])
+    assert np.array_equal(small[0], make_generator(*step_key, 3).random(50))
 
 
 def test_stream_key_distinct():
@@ -65,9 +63,8 @@ def test_make_generator_reproducible_and_disjoint():
     assert np.array_equal(g1, g2)
     g3 = make_generator(123, 456, 10).random(4)
     assert not np.array_equal(g1, g3)
-    # generator path must not collide with the batched-uniform counter space
-    words = batched_uniform_words(*(np.array([v], dtype=np.uint64) for v in (123, 456, 9)))
-    assert g1[0] not in np.concatenate(words)
+    g4 = make_generator(124, 456, 9).random(4)
+    assert not np.isin(g1, np.concatenate([g3, g4])).any()
 
 
 def test_binomial_inverse_moments():

@@ -300,7 +300,6 @@ def _advance_step(model, ens, scheme, t, dt, reverse_jumps, step_key, jump_mass_
             # replication: parents continue deterministically, copies split off
             spawns.append((i, det_states[i], replicated[i]))
 
-    before = int(mult.sum())
     ens.states = det_states
     ens.mult = counts[:, DET] + replicated
     if spawns:
@@ -310,7 +309,7 @@ def _advance_step(model, ens, scheme, t, dt, reverse_jumps, step_key, jump_mass_
     ens.drop_empty()
     # jumps and reverse jumps move realizations; only the vanish/replicate bin changes the total
     vanished = int(counts[pd > 0.0, DC].sum())
-    _check_ledger(ens, before - vanished + int(replicated.sum()), "step", t)
+    _check_ledger(ens, int(mult.sum()) - vanished + int(replicated.sum()), "step", t)
     return counts
 
 

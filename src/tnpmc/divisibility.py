@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .exact import DynamicalMap, TimeGrid, intermediate_map, propagate_map
+from .exact import DynamicalMap, TimeGrid, intermediate_matrices, propagate_map
 from .model import TnpModel, pauli_ops
 
 NEGATIVITY_REL_TOL = 1e-8  # eigenvalue counts as negative below -tol * spectral range
@@ -26,15 +26,17 @@ class ChoiState:
 
     @staticmethod
     def from_map(dynmap: DynamicalMap, interval: tuple[float, float] = (0.0, 0.0)) -> "ChoiState":
-        d = dynmap.dim
-        j = np.zeros((d * d, d * d), dtype=complex)
-        for a in range(d):
-            for b in range(d):
-                e = np.zeros((d, d), dtype=complex)
-                e[a, b] = 1.0
-                j += np.kron(dynmap.apply(e), e)
-        j /= d
-        return ChoiState(matrix=0.5 * (j + j.conj().T), interval=interval)
+        return ChoiState(matrix=choi_matrices(dynmap.matrix[None], dynmap.dim)[0], interval=interval)
+
+
+def choi_matrices(maps: np.ndarray, d: int) -> np.ndarray:
+    """Normalized Choi states (1/d) sum_ab Lambda(E_ab) (x) E_ab of a stack (m, d^2, d^2) of map matrices.
+
+    Entry (i + d*j, a + d*b) of a map matrix is Lambda(E_ab)[i, j], which is
+    Choi entry (i*d + a, j*d + b); the Choi states are that index reshuffle.
+    """
+    j = maps.reshape(-1, d, d, d, d).transpose(0, 2, 4, 1, 3).reshape(maps.shape) / d
+    return 0.5 * (j + np.swapaxes(j.conj(), -1, -2))
 
 
 def choi_eigenvalues(dynmap: DynamicalMap) -> np.ndarray:
@@ -59,16 +61,19 @@ class BlochAffine:
     def from_map(dynmap: DynamicalMap) -> "BlochAffine":
         if dynmap.dim != 2:
             raise DimensionMismatch(f"Bloch representation requires d = 2, got {dynmap.dim}")
-        p = pauli_ops()
-        paulis = (p.x, p.y, p.z)
-        m = np.empty((3, 3))
-        c = np.empty(3)
-        img_id = dynmap.apply(p.identity)
-        for a in range(3):
-            c[a] = 0.5 * np.trace(paulis[a] @ img_id).real
-            for b in range(3):
-                m[a, b] = 0.5 * np.trace(paulis[a] @ dynmap.apply(paulis[b])).real
-        return BlochAffine(m=m, c=c)
+        m, c = bloch_forms(dynmap.matrix[None])
+        return BlochAffine(m=m[0], c=c[0])
+
+
+def bloch_forms(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(m, c) of every qubit map in a stack (k, 4, 4): m_ab = tr[s_a L[s_b]]/2, c_a = tr[s_a L[1]]/2."""
+    p = pauli_ops()
+    basis = np.stack([p.identity, p.x, p.y, p.z])
+    # tr[A Y] = vec(A^T) . vec(Y), and vec(A^T) is the C-order ravel of A
+    left = basis.reshape(4, 4)
+    right = np.swapaxes(basis, -1, -2).reshape(4, 4)
+    forms = 0.5 * np.einsum("ap,kpq,bq->kab", left, maps, right).real
+    return forms[:, 1:, 1:], forms[:, 1:, 0]
 
 
 def bloch_affine(dynmap: DynamicalMap) -> BlochAffine:
@@ -91,30 +96,43 @@ def max_bloch_norm(ba: BlochAffine, n_points: int = 4096, refine_steps: int = 20
     Fibonacci-sphere scan followed by projected gradient ascent with
     backtracking; accurate to ~1e-4 on smooth maps.
     """
+    return float(max_bloch_norms(ba.m[None], ba.c[None], n_points, refine_steps)[0])
+
+
+def max_bloch_norms(m: np.ndarray, c: np.ndarray, n_points: int = 4096, refine_steps: int = 20) -> np.ndarray:
+    """:func:`max_bloch_norm` of every affine map r -> m[k] r + c[k] of a stack.
+
+    The scan runs one map at a time, which keeps its memory at one
+    (n_points, 3) block; the ascent runs on all maps at once, and a map stops
+    moving when its image or its tangent gradient vanishes.
+    """
     pts = _fibonacci_sphere(n_points)
-    norms = np.linalg.norm(pts @ ba.m.T + ba.c, axis=1)
-    best = int(np.argmax(norms))
-    v = pts[best]
-    fv = float(norms[best])
-    step = 0.05
+    k = m.shape[0]
+    v = np.empty((k, 3))
+    fv = np.empty(k)
+    for s in range(k):
+        norms = np.linalg.norm(pts @ m[s].T + c[s], axis=1)
+        best = int(np.argmax(norms))
+        v[s], fv[s] = pts[best], norms[best]
+    step = np.full(k, 0.05)
+    moving = np.ones(k, dtype=bool)
     for _ in range(refine_steps):
-        img = ba.m @ v + ba.c
-        nrm = np.linalg.norm(img)
-        if nrm == 0.0:
+        img = np.einsum("kab,kb->ka", m, v) + c
+        nrm = np.linalg.norm(img, axis=1)
+        moving &= nrm != 0.0
+        grad = np.einsum("kba,kb->ka", m, img / np.where(moving, nrm, 1.0)[:, None])
+        tang = grad - np.einsum("ka,ka->k", grad, v)[:, None] * v
+        g = np.linalg.norm(tang, axis=1)
+        moving &= g >= 1e-14
+        if not moving.any():
             break
-        grad = ba.m.T @ (img / nrm)
-        tang = grad - np.dot(grad, v) * v
-        g = np.linalg.norm(tang)
-        if g < 1e-14:
-            break
-        cand = v + step * tang / g
-        cand /= np.linalg.norm(cand)
-        fc = float(np.linalg.norm(ba.m @ cand + ba.c))
-        if fc > fv:
-            v, fv = cand, fc
-            step *= 1.2
-        else:
-            step *= 0.5
+        cand = v + step[:, None] * tang / np.where(moving, g, 1.0)[:, None]
+        cand /= np.linalg.norm(cand, axis=1)[:, None]
+        fc = np.linalg.norm(np.einsum("kab,kb->ka", m, cand) + c, axis=1)
+        up = moving & (fc > fv)
+        v[up], fv[up] = cand[up], fc[up]
+        step[up] *= 1.2
+        step[moving & ~up] *= 0.5
     return fv
 
 
@@ -147,17 +165,12 @@ def divisibility_report(model: TnpModel, grid: TimeGrid, adjoint: bool = False) 
     With ``adjoint=True`` the diagnostics are applied to the Hilbert-Schmidt
     adjoint of the propagator, i.e. to the dynamics in the opposite picture.
     """
-    maps = propagate_map(model, grid)
+    stack = np.stack([m.matrix for m in propagate_map(model, grid)])
     if adjoint:
-        maps = [m.adjoint() for m in maps]
-    n = grid.n_steps
-    times = np.empty(n)
-    eigs = np.empty((n, model.dim**2))
-    norms = np.full(n, np.nan)
-    for s in range(n):
-        inter = intermediate_map(maps, s, s + 1)
-        times[s] = 0.5 * (grid.time_at(s) + grid.time_at(s + 1))
-        eigs[s] = choi_eigenvalues(inter)
-        if model.dim == 2:
-            norms[s] = max_bloch_norm(BlochAffine.from_map(inter))
+        stack = np.swapaxes(stack.conj(), -1, -2)
+    grid_times = grid.times()
+    inter = intermediate_matrices(stack[:-1], stack[1:], grid_times[:-1])
+    eigs = np.linalg.eigvalsh(choi_matrices(inter, model.dim))
+    norms = max_bloch_norms(*bloch_forms(inter)) if model.dim == 2 else np.full(grid.n_steps, np.nan)
+    times = 0.5 * (grid_times[:-1] + grid_times[1:])
     return DivisibilityReport(times=times, choi_eigenvalues=eigs, max_bloch_norms=norms)

@@ -39,7 +39,7 @@ class TimeGrid:
 @dataclass(frozen=True)
 class OperatorTrajectory:
     grid: TimeGrid
-    values: np.ndarray  # (n_steps + 1, d, d)
+    values: np.ndarray  # (n_steps + 1, ..., d, d): one (d, d) or a stack per grid point
 
     def at(self, t: float) -> np.ndarray:
         """Linear interpolation between stored grid values, clamped at the ends."""
@@ -59,9 +59,14 @@ def _rk4_rhs(model: TnpModel, t: float, rho: np.ndarray) -> np.ndarray:
 
 
 def integrate(model: TnpModel, rho0: np.ndarray, grid: TimeGrid) -> OperatorTrajectory:
-    """Classical fixed-step RK4; each step re-symmetrizes to kill Hermiticity drift."""
+    """Classical fixed-step RK4 of one operator (d, d) or of a stack (m, d, d).
+
+    Each step re-symmetrizes to kill Hermiticity drift. A stack is integrated
+    in one run, evaluating the model once per stage, and every member follows
+    the same arithmetic as when integrated alone.
+    """
     rho = np.asarray(rho0, dtype=complex).copy()
-    out = np.empty((grid.n_steps + 1, model.dim, model.dim), dtype=complex)
+    out = np.empty((grid.n_steps + 1,) + rho.shape, dtype=complex)
     out[0] = rho
     dt = grid.dt
     for i in range(grid.n_steps):
@@ -71,7 +76,7 @@ def integrate(model: TnpModel, rho0: np.ndarray, grid: TimeGrid) -> OperatorTraj
         k3 = _rk4_rhs(model, t + 0.5 * dt, rho + 0.5 * dt * k2)
         k4 = _rk4_rhs(model, t + dt, rho + dt * k3)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = 0.5 * (rho + rho.conj().T)
+        rho = 0.5 * (rho + np.swapaxes(rho.conj(), -1, -2))
         if not np.isfinite(rho).all():
             raise NonFiniteState(f"non-finite density operator at t = {t + dt:.6g}")
         out[i + 1] = rho
@@ -149,54 +154,65 @@ class DynamicalMap:
         return DynamicalMap(dim=self.dim, matrix=self.matrix.conj().T, time=self.time)
 
 
+def _hermitian_basis(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The d^2 Hermitian basis operators and the (d^2, d^2) matrix whose column
+    i + d*j combines their images into the image of E_ij.
+
+    The basis is E_ii, then for each i < j the symmetric S = E_ij + E_ji and
+    antisymmetric A = i E_ij - i E_ji, so E_ij = (S - iA)/2, E_ji = (S + iA)/2.
+    """
+    basis = np.zeros((d * d, d, d), dtype=complex)
+    comb = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        basis[i, i, i] = 1.0
+        comb[i, i + d * i] = 1.0
+    k = d
+    for i in range(d):
+        for j in range(i + 1, d):
+            basis[k, i, j] = basis[k, j, i] = 1.0
+            basis[k + 1, i, j], basis[k + 1, j, i] = 1j, -1j
+            comb[k, i + d * j] = comb[k, j + d * i] = 0.5
+            comb[k + 1, i + d * j], comb[k + 1, j + d * i] = -0.5j, 0.5j
+            k += 2
+    return basis, comb
+
+
 def propagate_map(model: TnpModel, grid: TimeGrid) -> list[DynamicalMap]:
     """Propagator matrices at every grid point, Lambda_0 = identity.
 
-    Columns are obtained by integrating a Hermitian operator basis (E_ii and
-    the symmetric/antisymmetric combinations for i < j) and recombining, so the
-    RK4 path stays within Hermitian matrices.
+    The Hermitian operator basis is integrated as one stack, so the RK4 path
+    stays within Hermitian matrices, and one fixed combination matrix turns
+    the basis images into the columns.
     """
     d = model.dim
-    n = grid.n_steps
-    basis_traj: dict[tuple, np.ndarray] = {}
-    for i in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[i, i] = 1.0
-        basis_traj[("d", i, i)] = integrate(model, e, grid).values
-    for i in range(d):
-        for j in range(i + 1, d):
-            a = np.zeros((d, d), dtype=complex)
-            a[i, j] = a[j, i] = 1.0
-            b = np.zeros((d, d), dtype=complex)
-            b[i, j] = 1j
-            b[j, i] = -1j
-            basis_traj[("s", i, j)] = integrate(model, a, grid).values
-            basis_traj[("a", i, j)] = integrate(model, b, grid).values
-
-    maps = []
-    for s in range(n + 1):
-        m = np.empty((d * d, d * d), dtype=complex)
-        for i in range(d):
-            for j in range(d):
-                if i == j:
-                    img = basis_traj[("d", i, i)][s]
-                elif i < j:
-                    img = 0.5 * (basis_traj[("s", i, j)][s] - 1j * basis_traj[("a", i, j)][s])
-                else:
-                    img = 0.5 * (basis_traj[("s", j, i)][s] + 1j * basis_traj[("a", j, i)][s])
-                m[:, i + d * j] = vec(img)
-        maps.append(DynamicalMap(dim=d, matrix=m, time=grid.time_at(s)))
-    return maps
+    basis, comb = _hermitian_basis(d)
+    images = integrate(model, basis, grid).values  # (n + 1, d^2, d, d)
+    # row k of images[s] as vec(images[s, k]): column stacking is a C-order ravel of the transpose
+    vecs = np.swapaxes(images, -1, -2).reshape(images.shape[0], d * d, d * d)
+    matrices = np.swapaxes(vecs, -1, -2) @ comb
+    return [DynamicalMap(dim=d, matrix=matrices[s], time=grid.time_at(s)) for s in range(grid.n_steps + 1)]
 
 
 COND_LIMIT = 1e10
+
+
+def intermediate_matrices(start: np.ndarray, end: np.ndarray, start_times: np.ndarray) -> np.ndarray:
+    """Lambda_t Lambda_s^{-1} for stacks (m, d^2, d^2) of map matrices at s and t.
+
+    Raises ``SingularMap`` naming the earliest start time whose map is
+    singular or has condition number above ``COND_LIMIT``.
+    """
+    cond = np.linalg.cond(start)
+    bad = ~np.isfinite(cond) | (cond > COND_LIMIT)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise SingularMap(f"Lambda at t = {start_times[k]:.6g} has condition number {cond[k]:.3e}")
+    return end @ np.linalg.inv(start)
 
 
 def intermediate_map(maps: list[DynamicalMap], s: int, t: int) -> DynamicalMap:
     """Lambda_{t,s} = Lambda_t Lambda_s^{-1} from precomputed grid maps."""
     ms = maps[s]
     mt = maps[t]
-    cond = np.linalg.cond(ms.matrix)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularMap(f"Lambda at t = {ms.time:.6g} has condition number {cond:.3e}")
-    return DynamicalMap(dim=ms.dim, matrix=mt.matrix @ np.linalg.inv(ms.matrix), time=mt.time)
+    matrix = intermediate_matrices(ms.matrix[None], mt.matrix[None], np.array([ms.time]))[0]
+    return DynamicalMap(dim=ms.dim, matrix=matrix, time=mt.time)

@@ -328,7 +328,10 @@ class HeisenbergConfig:
                     raise InvalidParameter(f"unknown observable {name!r}")
                 out.append((name, named[name]))
             else:
-                out.append(("custom", np.asarray(name, dtype=complex)))
+                x = np.asarray(name, dtype=complex)
+                if x.shape != (2, 2):
+                    raise InvalidParameter(f"custom observable must be a 2x2 matrix, got shape {x.shape}")
+                out.append(("custom", x))
         return out
 
     def pairing_state(self) -> np.ndarray:
@@ -415,11 +418,13 @@ def run_heisenberg(cfg: HeisenbergConfig) -> HeisenbergResult:
     runner = mcwf.run if cfg.method == "mcwf" else ro.run
     rng = bootstrap_rng(cfg.seed)
 
+    observables = cfg.observable_matrices()
+    exact_values = exact.integrate(model, np.stack([x0 for _, x0 in observables]), grid).values[rec_idx]
     series: dict[str, ObservableSeries] = {}
     trace_first = None
     distinct = np.zeros(rec_idx.size, dtype=np.int64)
     comp_counter = 0
-    for name, x0 in cfg.observable_matrices():
+    for k, (name, x0) in enumerate(observables):
         xh, xa = split_hermitian(x0)
         if float(np.abs(xa).max()) > 1e-12:
             raise InvalidParameter(f"observable {name} must be Hermitian")
@@ -456,14 +461,14 @@ def run_heisenberg(cfg: HeisenbergConfig) -> HeisenbergResult:
 
         est = sum(coef * vals.sum(axis=1) for coef, vals in est_parts)
         se = bootstrap_se_combined(est_parts, rng)
-        x_exact_traj = exact.integrate(model, x0, grid)
-        exact_vals = np.einsum("tij,ji->t", x_exact_traj.values[rec_idx], rho_s).real
+        x_exact = np.ascontiguousarray(exact_values[:, k])
+        exact_vals = np.einsum("tij,ji->t", x_exact, rho_s).real
         series[name] = ObservableSeries(est=est, se=se, exact=exact_vals)
         if trace_first is None:
             trace_first = (
                 sum(coef * vals.sum(axis=1) for coef, vals in trace_parts),
                 bootstrap_se_combined(trace_parts, rng),
-                np.trace(x_exact_traj.values[rec_idx], axis1=1, axis2=2).real,
+                np.trace(x_exact, axis1=1, axis2=2).real,
             )
 
     return HeisenbergResult(

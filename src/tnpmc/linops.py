@@ -71,26 +71,30 @@ class HermitianEigen:
 
 
 def _canonical_order(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # eigh already sorts ascending; fix phases, then break degenerate ties by
-    # lexicographic comparison of the phase-fixed vectors.
+    # eigh already sorts ascending. Every column is phase-fixed as phase_fix
+    # does with its default threshold; each factor is a numpy-scalar division,
+    # because the array division rounds differently in the last bit. A
+    # degenerate block (values within tol of its first) is then ordered by the
+    # rounded (re, im, re, im, ...) keys of its phase-fixed columns.
     d = values.shape[0]
-    cols = [phase_fix(vectors[:, k]) for k in range(d)]
-    scale = max(1.0, float(np.abs(values).max()) if d else 1.0)
-    tol = 1e-12 * scale
-    order = list(range(d))
-    i = 0
-    while i < d:
-        j = i
-        while j + 1 < d and values[j + 1] - values[i] <= tol:
-            j += 1
-        if j > i:
-            block = order[i : j + 1]
-            block.sort(key=lambda k: tuple(np.round(np.stack([cols[k].real, cols[k].imag], -1).ravel(), 10)))
-            order[i : j + 1] = block
-        i = j + 1
-    out_vals = values[order]
-    out_vecs = np.column_stack([cols[k] for k in order]) if d else vectors
-    return out_vals, out_vecs
+    if d == 0:
+        return values, vectors
+    mags = np.abs(vectors)
+    first = np.argmax(mags > 1e-8 * mags.max(axis=0), axis=0)
+    refs = vectors[first, np.arange(d)]
+    cols = vectors * np.array([r.conjugate() / abs(r) for r in refs])
+    tol = 1e-12 * max(1.0, float(np.abs(values).max()))
+    order = np.arange(d)
+    end = 0
+    for i in np.flatnonzero(np.diff(values) <= tol):
+        if i < end:
+            continue
+        within = values[i:] - values[i] <= tol
+        end = i + (within.size if within.all() else int(np.argmin(within)))
+        # a float view of a complex row interleaves (re, im) as the keys do
+        keys = np.round(np.ascontiguousarray(cols[:, i:end].T).view(np.float64), 10)
+        order[i:end] = i + np.lexsort(keys.T[::-1])
+    return values[order], np.ascontiguousarray(cols[:, order])
 
 
 def hermitian_eig(a: np.ndarray, tol: float = HERMITIAN_TOL) -> HermitianEigen:

@@ -169,9 +169,11 @@ class TnpModel:
         return None if self.source is None else self.source.at(t)
 
     def apply_liouvillian(self, t: float, rho: np.ndarray) -> np.ndarray:
+        """The generator applied to one operator (d, d) or to each of a stack (..., d, d);
+        the model is evaluated once whatever the stack size."""
         rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (self.dim, self.dim):
-            raise DimensionMismatch(f"rho shape {rho.shape} != ({self.dim}, {self.dim})")
+        if rho.shape[-2:] != (self.dim, self.dim):
+            raise DimensionMismatch(f"rho shape {rho.shape} != (..., {self.dim}, {self.dim})")
         h = self.hamiltonian_at(t)
         out = -1j * (h @ rho - rho @ h)
         for ch, op in zip(self.channels, self._ops):

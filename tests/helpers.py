@@ -1,12 +1,17 @@
 """Shared fixtures: random model generators, one-step oracles built from the
-scheme kernels, and seeds that put a first-step uniform in a chosen bin."""
+scheme kernels, seeds that put a first-step uniform in a chosen bin, and
+loop-by-loop oracles of the stacked map propagation and eigenvector ordering."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from tnpmc import Ensemble, JumpChannel, TimeGrid, TimeScalar, TnpModel, pauli_ops
+from tnpmc import (
+    DynamicalMap, Ensemble, JumpChannel, TimeGrid, TimeScalar, TnpModel, heisenberg_qubit, integrate, pauli_ops,
+)
 from tnpmc.engine import STEP_STREAM_TAG, _build_snapshot, _match_keys
+from tnpmc.exact import vec
+from tnpmc.linops import phase_fix
 from tnpmc.rng import make_generator, stream_key
 
 
@@ -170,9 +175,78 @@ def trace_gain_model() -> TnpModel:
                     gamma=np.zeros((2, 2), dtype=complex))
 
 
+def criterion_8_model() -> TnpModel:
+    """The adjoint-picture qubit generator of acceptance criterion 8."""
+    return heisenberg_qubit(
+        TimeScalar.constant(20.0),
+        TimeScalar.sinusoid(0.9, 40.0, 0.0, 1.0),
+        TimeScalar.exponential(0.5, -1.0),
+    )
+
+
 def negative_rate_model() -> TnpModel:
     """sigma_- at rate -0.1 with Gamma = Gamma_L: only reverse jumps, no trace change."""
     p = pauli_ops()
     channel = JumpChannel(TimeScalar.constant(-0.1), p.minus)
     proj1 = p.plus @ p.minus
     return TnpModel(dim=2, hamiltonian=np.zeros((2, 2)), channels=(channel,), gamma=lambda t: -0.1 * proj1)
+
+
+def propagate_map_loop(model: TnpModel, grid: TimeGrid) -> list[DynamicalMap]:
+    """Propagator matrices built one Hermitian basis operator and one column at a time.
+
+    E_ii, and for i < j the symmetric and antisymmetric combinations, are each
+    integrated alone; the image of E_ij is then (S - iA)/2 and that of E_ji
+    is (S + iA)/2.
+    """
+    d = model.dim
+    basis_traj: dict[tuple, np.ndarray] = {}
+    for i in range(d):
+        e = np.zeros((d, d), dtype=complex)
+        e[i, i] = 1.0
+        basis_traj[("d", i, i)] = integrate(model, e, grid).values
+    for i in range(d):
+        for j in range(i + 1, d):
+            a = np.zeros((d, d), dtype=complex)
+            a[i, j] = a[j, i] = 1.0
+            b = np.zeros((d, d), dtype=complex)
+            b[i, j] = 1j
+            b[j, i] = -1j
+            basis_traj[("s", i, j)] = integrate(model, a, grid).values
+            basis_traj[("a", i, j)] = integrate(model, b, grid).values
+    maps = []
+    for s in range(grid.n_steps + 1):
+        m = np.empty((d * d, d * d), dtype=complex)
+        for i in range(d):
+            for j in range(d):
+                if i == j:
+                    img = basis_traj[("d", i, i)][s]
+                elif i < j:
+                    img = 0.5 * (basis_traj[("s", i, j)][s] - 1j * basis_traj[("a", i, j)][s])
+                else:
+                    img = 0.5 * (basis_traj[("s", j, i)][s] + 1j * basis_traj[("a", j, i)][s])
+                m[:, i + d * j] = vec(img)
+        maps.append(DynamicalMap(dim=d, matrix=m, time=grid.time_at(s)))
+    return maps
+
+
+def canonical_order_loop(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvector canonicalization one column at a time: ``phase_fix`` each column,
+    then sort each degenerate block with a tuple key per column."""
+    d = values.shape[0]
+    cols = [phase_fix(vectors[:, k]) for k in range(d)]
+    scale = max(1.0, float(np.abs(values).max()) if d else 1.0)
+    tol = 1e-12 * scale
+    order = list(range(d))
+    i = 0
+    while i < d:
+        j = i
+        while j + 1 < d and values[j + 1] - values[i] <= tol:
+            j += 1
+        if j > i:
+            block = order[i : j + 1]
+            block.sort(key=lambda k: tuple(np.round(np.stack([cols[k].real, cols[k].imag], -1).ravel(), 10)))
+            order[i : j + 1] = block
+        i = j + 1
+    out_vecs = np.column_stack([cols[k] for k in order]) if d else vectors
+    return values[order], out_vecs

@@ -38,6 +38,20 @@ def test_tracer_installs_and_uninstalls_over_the_package(monkeypatch):
         objects = metrics["ensemble.objects_per_step"] * metrics["engine.steps"]
         assert metrics["rng.uniform_lanes"] == round(objects) > 0
         assert metrics["rng.generator_calls"] == metrics["engine.steps"]  # the model has no source
+
+        # the map oracle integrates its whole operator basis in one RK4 run,
+        # evaluating the model once per stage, inside one traced report
+        t.reset()
+        model.apply_liouvillian(0.0, np.zeros((4, 2, 2), dtype=complex))
+        evals_per_stage = t.collect()["model.eval_calls"]
+        t.reset()
+        tn.divisibility.divisibility_report(model, grid)
+        metrics = t.collect()
+        sp = t.spans()
+        spans = {name: int((sp["layer"] == i).sum()) for i, name in enumerate(sp["layer_names"])}
+        assert spans["exact.integrate"] == spans["exact.propagate_map"] == spans["divisibility.report"] == 1
+        assert metrics["exact.rk4_steps"] == grid.n_steps
+        assert metrics["model.eval_calls"] == 4 * grid.n_steps * evals_per_stage
     finally:
         t.uninstall()
     for owner, attr, original in patched:

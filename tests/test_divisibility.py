@@ -15,9 +15,9 @@ from tnpmc import (
 )
 from tnpmc.divisibility import BlochAffine, ChoiState, is_negative
 from tnpmc.errors import DimensionMismatch
-from tnpmc.exact import vec
+from tnpmc.exact import intermediate_map, propagate_map, vec
 
-from helpers import qubit_decay_model
+from helpers import criterion_8_model, qubit_decay_model
 
 P = pauli_ops()
 
@@ -50,6 +50,32 @@ def test_choi_state_hermitian_unit_trace():
     choi = ChoiState.from_map(unitary_map(0.7))
     assert np.abs(choi.matrix - choi.matrix.conj().T).max() <= 1e-12
     assert np.trace(choi.matrix).real == pytest.approx(1.0)
+
+
+def random_map(rng, d):
+    m = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+    return DynamicalMap(dim=d, matrix=m, time=0.0)
+
+
+def test_choi_and_bloch_match_their_definitions():
+    rng = np.random.default_rng(17)
+    for d in (1, 2, 3):
+        dynmap = random_map(rng, d)
+        j = np.zeros((d * d, d * d), dtype=complex)
+        for a in range(d):
+            for b in range(d):
+                e = np.zeros((d, d), dtype=complex)
+                e[a, b] = 1.0
+                j += np.kron(dynmap.apply(e), e) / d
+        assert np.abs(ChoiState.from_map(dynmap).matrix - 0.5 * (j + j.conj().T)).max() <= 1e-14
+    dynmap = random_map(rng, 2)
+    paulis = (P.x, P.y, P.z)
+    ba = BlochAffine.from_map(dynmap)
+    for a in range(3):
+        assert ba.c[a] == pytest.approx(0.5 * np.trace(paulis[a] @ dynmap.apply(P.identity)).real, abs=1e-14)
+        for b in range(3):
+            want = 0.5 * np.trace(paulis[a] @ dynmap.apply(paulis[b])).real
+            assert ba.m[a, b] == pytest.approx(want, abs=1e-14)
 
 
 def test_bloch_identity_and_depolarizing():
@@ -118,6 +144,35 @@ def test_report_unitary_model():
     report = divisibility_report(m, TimeGrid(0.0, 1.0, 0.05))
     assert np.abs(report.min_choi_eigenvalues).max() <= 1e-8
     assert np.abs(report.max_bloch_norms - 1.0).max() <= 1e-6
+
+
+@pytest.mark.parametrize("adjoint", [False, True], ids=["direct", "adjoint"])
+def test_report_matches_per_interval_reference(adjoint):
+    model = criterion_8_model()
+    grid = TimeGrid(0.0, 0.15, 1e-3)
+    report = divisibility_report(model, grid, adjoint=adjoint)
+    maps = propagate_map(model, grid)
+    if adjoint:
+        maps = [m.adjoint() for m in maps]
+    n = grid.n_steps
+    inter = [intermediate_map(maps, s, s + 1) for s in range(n)]
+    times = [0.5 * (grid.time_at(s) + grid.time_at(s + 1)) for s in range(n)]
+    eigs = np.stack([choi_eigenvalues(m) for m in inter])
+    norms = np.array([max_bloch_norm(bloch_affine(m)) for m in inter])
+    assert report.choi_eigenvalues.shape == (n, 4) and report.max_bloch_norms.shape == (n,)
+    assert np.array_equal(report.times, times)
+    assert np.abs(report.choi_eigenvalues - eigs).max() <= 1e-12
+    assert np.abs(report.max_bloch_norms - norms).max() <= 1e-12
+
+
+def test_report_bloch_norms_nan_beyond_qubits():
+    model = TnpModel(dim=3, hamiltonian=np.diag([0.0, 1.0, 2.0]).astype(complex), channels=())
+    report = divisibility_report(model, TimeGrid(0.0, 0.1, 0.02))
+    assert report.choi_eigenvalues.shape == (5, 9)
+    assert np.isnan(report.max_bloch_norms).all()
+    # unitary intermediate maps have rank-1 Choi states, up to the RK4 error
+    assert np.abs(report.choi_eigenvalues[:, :-1]).max() <= 1e-8
+    assert np.abs(report.choi_eigenvalues[:, -1] - 1.0).max() <= 1e-8
 
 
 def test_picture_dependence_smoke():

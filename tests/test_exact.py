@@ -14,9 +14,9 @@ from tnpmc import (
     tilted_lindbladian,
 )
 from tnpmc.errors import InvalidParameter, NonFiniteState, SingularMap
-from tnpmc.exact import vec
+from tnpmc.exact import intermediate_matrices, vec
 
-from helpers import qubit_decay_model, random_hermitian
+from helpers import criterion_8_model, propagate_map_loop, qubit_decay_model, random_hermitian, random_tnp_model
 
 P = pauli_ops()
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -74,6 +74,18 @@ def test_non_finite_detection():
     )
     with np.errstate(all="ignore"), pytest.raises(NonFiniteState):
         integrate(blow, RHO1, TimeGrid(0.0, 10.0, 0.1))
+
+
+def test_integrate_stack_equals_separate_runs():
+    rng = np.random.default_rng(8)
+    model = random_tnp_model(rng, 3)
+    grid = TimeGrid(0.0, 0.2, 0.01)
+    stack = np.stack([random_hermitian(rng, 3) for _ in range(5)])
+    traj = integrate(model, stack, grid)
+    assert traj.values.shape == (grid.n_steps + 1, 5, 3, 3)
+    for k in range(5):
+        assert np.array_equal(traj.values[:, k], integrate(model, stack[k], grid).values)
+    assert np.array_equal(traj.at(0.055), np.stack([integrate(model, x, grid).at(0.055) for x in stack]))
 
 
 def test_interpolation_between_grid_values():
@@ -141,6 +153,19 @@ def test_propagate_map_identity_at_t0():
     assert maps[0].time == 0.0
 
 
+@pytest.mark.parametrize("model, grid", [
+    (qubit_decay_model(), TimeGrid(0.0, 1.0, 0.01)),
+    (criterion_8_model(), TimeGrid(0.0, 0.15, 1e-3)),
+    (random_tnp_model(np.random.default_rng(30), 3), TimeGrid(0.0, 0.2, 0.01)),
+], ids=["qubit_decay", "criterion_8", "random_d3"])
+def test_propagate_map_matches_per_basis_loop(model, grid):
+    maps = propagate_map(model, grid)
+    ref = propagate_map_loop(model, grid)
+    assert len(maps) == len(ref) == grid.n_steps + 1
+    assert [m.time for m in maps] == [r.time for r in ref]
+    assert max(np.abs(m.matrix - r.matrix).max() for m, r in zip(maps, ref)) <= 1e-14
+
+
 def test_propagate_map_unitary_closed_form():
     m = TnpModel(dim=2, hamiltonian=0.5 * P.z, channels=())
     grid = TimeGrid(0.0, np.pi, np.pi / 4000)
@@ -190,6 +215,19 @@ def test_singular_map_raises():
     good = DynamicalMap(dim=2, matrix=np.eye(4, dtype=complex), time=0.1)
     with pytest.raises(SingularMap):
         intermediate_map([bad, good], 0, 1)
+
+
+def test_stacked_singularity_check_names_the_earliest_bad_time():
+    good = np.eye(4, dtype=complex)
+    bad = np.diag([1.0, 1e-15, 1.0, 1.0]).astype(complex)
+    infinite = np.full((4, 4), np.inf, dtype=complex)
+    start = np.stack([good, good, bad, good, bad])
+    times = np.array([0.0, 0.1, 0.2, 0.3, 0.4])
+    with pytest.raises(SingularMap, match=r"t = 0\.2 has condition number"):
+        intermediate_matrices(start, start, times)
+    with np.errstate(all="ignore"), pytest.raises(SingularMap, match=r"t = 0\.1 has"):
+        intermediate_matrices(np.stack([good, infinite, bad]), np.stack([good] * 3), times[:3])
+    assert np.array_equal(intermediate_matrices(start[:2], 2.0 * start[:2], times[:2]), 2.0 * start[:2])
 
 
 def test_adjoint_is_hilbert_schmidt_adjoint():

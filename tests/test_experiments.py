@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tnpmc import TimeGrid, TimeScalar, pauli_ops, split_positive, tilted_lindbladian
+from tnpmc import TimeGrid, TimeScalar, heisenberg_qubit, integrate, pauli_ops, split_positive, tilted_lindbladian
 from tnpmc.errors import CutoffLeakage, InvalidParameter
 from tnpmc.exact import solve_hierarchy
 from tnpmc.experiments import (
@@ -142,6 +142,26 @@ def test_heisenberg_unitality_identity_observable():
     res = run_heisenberg(cfg)
     assert np.all(res.trace_est == 2.0)  # counts exactly conserved
     assert np.abs(res.trace_exact - 2.0).max() <= 1e-8
+
+
+def test_heisenberg_exact_series_match_separate_rk4_runs():
+    # the observables' RK4 oracle runs as one stack; each series must equal its own run
+    cfg = HeisenbergConfig(observables=("sigma_z", "sigma_x", "sigma_y"), n_trajectories=100, t_final=0.1,
+                           record_every=20, n_groups=4, seed=3)
+    res = run_heisenberg(cfg)
+    model = heisenberg_qubit(cfg.eps, cfg.gamma_minus, cfg.gamma_plus)
+    grid = TimeGrid(0.0, cfg.t_final, cfg.dt)
+    rec_idx = np.arange(0, grid.n_steps + 1, cfg.record_every)
+    for k, (name, x0) in enumerate(cfg.observable_matrices()):
+        values = integrate(model, x0, grid).values[rec_idx]
+        assert np.array_equal(res.series[name].exact, np.einsum("tij,ji->t", values, cfg.pairing_state()).real)
+        if k == 0:
+            assert np.array_equal(res.trace_exact, np.trace(values, axis1=1, axis2=2).real)
+
+
+def test_heisenberg_rejects_custom_observable_of_wrong_shape():
+    with pytest.raises(InvalidParameter, match="2x2"):
+        HeisenbergConfig(observables=(np.eye(3),)).observable_matrices()
 
 
 def test_heisenberg_small_scale_tracks_oracle():

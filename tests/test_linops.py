@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from tnpmc import expectation, hermitian_eig, pauli_ops, split_hermitian, split_positive
+from tnpmc import boson_ops, expectation, hermitian_eig, pauli_ops, split_hermitian, split_positive
 from tnpmc.errors import DimensionMismatch, NonHermitianInput
 from tnpmc.linops import phase_fix, phase_fix_rows
 
-from helpers import random_hermitian, random_state
+from helpers import canonical_order_loop, random_hermitian, random_state
 
 P = pauli_ops()
 
@@ -41,6 +41,40 @@ def test_eig_deterministic_ordering():
     e2 = hermitian_eig(a.copy())
     assert np.array_equal(e1.values, e2.values)
     assert np.array_equal(e1.vectors, e2.vectors)
+
+
+def _eig_inputs():
+    """Random Hermitian matrices at d = 1..20 (generic, with repeated eigenvalues,
+    with near-zero eigenvalues), the zero matrix, the identity and a rank-2 a rho a^dag."""
+    rng = np.random.default_rng(2511)
+    mats = [np.zeros((5, 5), dtype=complex), np.eye(7, dtype=complex)]
+    a = boson_ops(20).a
+    psi, phi = random_state(rng, 20), random_state(rng, 20)
+    rho = 0.6 * np.outer(psi, psi.conj()) + 0.4 * np.outer(phi, phi.conj())
+    mats.append(a @ rho @ a.conj().T)
+    for d in range(1, 21):
+        for _ in range(4):
+            mats.append(random_hermitian(rng, d))
+            u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+            repeated = rng.choice([-1.0, 0.5, 2.0], size=d)
+            near_zero = np.where(rng.random(d) < 0.5, 1e-15 * rng.normal(size=d), rng.normal(size=d))
+            for vals in (repeated, near_zero):
+                mats.append((u * vals) @ u.conj().T)
+    return mats
+
+
+def test_eig_canonical_order_bit_for_bit():
+    # the per-column loop is the oracle: values and vectors must be byte-equal
+    degenerate = 0
+    for a in _eig_inputs():
+        got = hermitian_eig(a)
+        values, vectors = np.linalg.eigh(0.5 * (a + a.conj().T))
+        want_values, want_vectors = canonical_order_loop(values, vectors)
+        assert got.values.shape == want_values.shape and got.vectors.shape == want_vectors.shape
+        assert got.values.tobytes() == want_values.tobytes()
+        assert got.vectors.tobytes() == want_vectors.tobytes()
+        degenerate += bool((np.diff(values) <= 1e-12 * max(1.0, np.abs(values).max())).any())
+    assert degenerate >= 100  # the tie-breaking sort is exercised
 
 
 def test_eig_rejects_non_hermitian():

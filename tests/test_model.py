@@ -72,6 +72,23 @@ def test_apply_liouvillian_source_linearity():
     assert np.allclose(out, src)
 
 
+def test_apply_liouvillian_on_a_stack_equals_separate_calls():
+    rng = np.random.default_rng(21)
+    base = random_tnp_model(rng, 3)
+    src = random_hermitian(rng, 3)
+    m = TnpModel(dim=3, hamiltonian=base.hamiltonian, channels=base.channels, gamma=base.gamma,
+                 source=__import__("tnpmc").SourceTerm(src @ src))
+    stack = np.stack([[random_hermitian(rng, 3) + 1j * random_hermitian(rng, 3) for _ in range(4)]
+                      for _ in range(2)])  # (2, 4, 3, 3)
+    got = m.apply_liouvillian(0.4, stack)
+    assert got.shape == stack.shape
+    for idx in np.ndindex(stack.shape[:2]):
+        assert np.array_equal(got[idx], m.apply_liouvillian(0.4, stack[idx]))
+    for bad in (np.zeros((4, 3, 2)), np.zeros((4, 2, 3)), np.zeros(3), np.zeros((2, 2))):
+        with pytest.raises(DimensionMismatch):
+            m.apply_liouvillian(0.4, bad)
+
+
 def test_trace_derivative():
     rng = np.random.default_rng(0)
     m = qubit_decay_model()

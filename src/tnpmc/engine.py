@@ -36,6 +36,7 @@ JUMP_MASS_LIMIT = 0.1
 STEP_STREAM_TAG = 0x5374657053747265  # stream_key tag of the per-step outcome stream
 SOURCE_STREAM_TAG = 0x536F757263655454  # stream_key tag of the per-step source stream
 NEG_SOURCE_TOL = 1e-6
+SOURCE_BLOCK = 16  # steps whose midpoint sources are evaluated and eigendecomposed together
 
 
 @dataclass
@@ -129,7 +130,10 @@ def run(
     for step in range(grid.n_steps):
         t = grid.time_at(step)
         _advance_step(model, ens, scheme, t, dt, reverse_jumps, step_key, jump_mass_limit)
-        _apply_source(model, ens, src_key, t, dt)
+        if step % SOURCE_BLOCK == 0:
+            spectra = _source_spectra(model, grid, step)
+        if spectra is not None:
+            _apply_source(ens, src_key, spectra[step % SOURCE_BLOCK], t, dt)
         ens.steps += 1
         if merge:
             ens._merge_in_place()
@@ -336,32 +340,39 @@ def _guard_detail(mult, i, pos_bins, rev_total, pd, pdc):
     )
 
 
-def _apply_source(model, ens, src_key, t, dt):
-    # midpoint evaluation keeps the per-step creation quadrature at O(dt^2)
-    s = model.source_at(t + 0.5 * dt)
-    if s is None:
-        return
-    eig = hermitian_eig(s, tol=1e-8 * max(1.0, float(np.abs(s).max())))
+def _source_spectra(model, grid, first):
+    """Spectra of the sources of steps ``first`` to ``first + SOURCE_BLOCK - 1`` (or the grid's last),
+    None for a model without a source.
+
+    Each source is evaluated at its step's midpoint, which keeps the per-step
+    creation quadrature at O(dt^2); the block is eigendecomposed in one call.
+    """
+    steps = range(first, min(first + SOURCE_BLOCK, grid.n_steps))
+    sources = [model.source_at(grid.time_at(k) + 0.5 * grid.dt) for k in steps]
+    if sources[0] is None:
+        return None
+    s = np.stack(sources)
+    del sources  # held through the eigendecomposition, its small arrays raised the peak memory
+    return hermitian_eig(s, tol=1e-8 * np.maximum(1.0, np.abs(s).max(axis=(1, 2))))
+
+
+def _apply_source(ens, src_key, eig, t, dt):
+    """Poisson creations in the eigenstates of the step's source, whose spectrum is ``eig``."""
     vals = eig.values
     if float(vals.min()) < -NEG_SOURCE_TOL:
         raise NegativeSource(f"source eigenvalue {vals.min():.3e} below -{NEG_SOURCE_TOL} at t = {t:.6g}")
-    vals = np.maximum(vals, 0.0)
     # keyed by the ensemble's own step count, which a checkpoint carries across a resume
     gen = make_generator(src_key[0], src_key[1], ens.steps)
     before = int(ens.mult.sum())
+    created = np.flatnonzero(vals > 0.0)
+    copies = gen.poisson(vals[created] * ens.n_ref * dt)
     rows = []
-    for i in range(vals.shape[0]):
-        if vals[i] <= 0.0:
-            continue
-        copies = int(gen.poisson(vals[i] * ens.n_ref * dt))
-        if copies == 0:
-            continue
+    for i, c in zip(created[copies > 0], copies[copies > 0]):
         state = eig.vectors[:, i]
         if ens.n_groups == 1:
-            rows.append((state, copies, 0))
+            rows.append((state, int(c), 0))
         else:
-            split = gen.multinomial(copies, np.full(ens.n_groups, 1.0 / ens.n_groups))
-            for g in np.flatnonzero(split):
-                rows.append((state, int(split[g]), int(g)))
+            split = gen.multinomial(c, np.full(ens.n_groups, 1.0 / ens.n_groups))
+            rows += [(state, int(split[g]), int(g)) for g in np.flatnonzero(split)]
     ens._append_members(rows)
     _check_ledger(ens, before + sum(c for _, c, _ in rows), "source", t)

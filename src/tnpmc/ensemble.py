@@ -10,6 +10,7 @@ draws each step from one stream keyed by ``seed`` and the step counter
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import Sequence
 
@@ -30,9 +31,8 @@ def canonical_key_rows(states: np.ndarray, quantum: float = KEY_QUANTUM) -> np.n
     quantum. Output shape (n, 2 d), int64.
     """
     fixed = phase_fix_rows(np.asarray(states, dtype=complex))
-    cols = np.empty((fixed.shape[0], 2 * fixed.shape[1]))
-    cols[:, 0::2] = fixed.real
-    cols[:, 1::2] = fixed.imag
+    # a float view of the complex rows interleaves (re, im)
+    cols = fixed.view(np.float64)
     return np.round(cols / quantum).astype(np.int64)
 
 
@@ -56,13 +56,35 @@ def largest_remainder(weights: Sequence[float], n: int) -> np.ndarray:
     return counts
 
 
+@functools.lru_cache(maxsize=None)
+def _key_mix(width: int) -> np.ndarray:
+    """Fixed odd int64 multipliers (splitmix64 of 1, 2, ...) that hash a key row of ``width`` entries."""
+    x = np.arange(1, width + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    mix = ((x ^ (x >> np.uint64(31))) | np.uint64(1)).view(np.int64)
+    mix.flags.writeable = False  # one cached array serves every caller
+    return mix
+
+
 def _run_starts(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable lexicographic order of the rows, and a mask over the sorted rows
-    that is True where a run of equal rows starts."""
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
+    """A stable order of the rows that puts equal rows next to each other, and
+    a mask over the ordered rows that is True where a run of equal rows starts.
+
+    Rows are ordered by a wrapping int64 hash; neighbours with equal hashes
+    are compared exactly, and a hash collision between different rows falls
+    back to a lexicographic sort.
+    """
+    h = rows @ _key_mix(rows.shape[1])
+    order = np.argsort(h, kind="stable")
+    hs = h[order]
     starts = np.ones(rows.shape[0], dtype=bool)
-    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    starts[1:] = hs[1:] != hs[:-1]
+    same = np.flatnonzero(~starts[1:])
+    if (rows[order[same]] != rows[order[same + 1]]).any():
+        order = np.lexsort(rows.T[::-1])
+        ordered = rows[order]
+        starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
     return order, starts
 
 
@@ -167,7 +189,7 @@ class Ensemble:
         if self.size == 0:
             return np.zeros((self.dim, self.dim), dtype=complex)
         w = self.mult.astype(float) / self.n_ref
-        return np.einsum("n,ni,nj->ij", w, self.states, self.states.conj())
+        return np.einsum("ni,nj->ij", w[:, None] * self.states, self.states.conj())
 
     def distinct_state_count(self) -> int:
         if self.size == 0:

@@ -322,7 +322,7 @@ class HeisenbergConfig:
         p = pauli_ops()
         named = {"sigma_x": p.x, "sigma_y": p.y, "sigma_z": p.z, "identity": p.identity}
         out = []
-        for name in self.observables:
+        for position, name in enumerate(self.observables):
             if isinstance(name, str):
                 if name not in named:
                     raise InvalidParameter(f"unknown observable {name!r}")
@@ -331,7 +331,7 @@ class HeisenbergConfig:
                 x = np.asarray(name, dtype=complex)
                 if x.shape != (2, 2):
                     raise InvalidParameter(f"custom observable must be a 2x2 matrix, got shape {x.shape}")
-                out.append(("custom", x))
+                out.append((f"custom_{position}", x))
         return out
 
     def pairing_state(self) -> np.ndarray:
@@ -409,13 +409,16 @@ def run_heisenberg(cfg: HeisenbergConfig) -> HeisenbergResult:
     pairing expectation uses the Schroedinger initial state as the recorded
     observable of each run; tr X(t) comes from the count ratios.
     """
+    runners = {"mcwf": mcwf.run, "ro": ro.run}
+    if cfg.method not in runners:
+        raise InvalidParameter(f"unknown method {cfg.method!r}; expected one of {sorted(runners)}")
     grid = TimeGrid(0.0, cfg.t_final, cfg.dt)
     validate_strongly_driven(cfg, grid)
     model = heisenberg_qubit(cfg.eps, cfg.gamma_minus, cfg.gamma_plus)
     rho_s = cfg.pairing_state()
     rec_idx = np.arange(0, grid.n_steps + 1, cfg.record_every)
     times = grid.times()[rec_idx]
-    runner = mcwf.run if cfg.method == "mcwf" else ro.run
+    runner = runners[cfg.method]
     rng = bootstrap_rng(cfg.seed)
 
     observables = cfg.observable_matrices()

@@ -21,15 +21,27 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
-def herm_deviation(a: np.ndarray) -> float:
-    """Max-norm distance of ``a`` from its Hermitian part."""
-    return float(np.abs(a - a.conj().T).max()) if a.size else 0.0
+def herm_deviation(a: np.ndarray):
+    """Max-norm distance of ``a`` from its Hermitian part: a float for one
+    matrix (d, d), one value per matrix for a stack (m, d, d)."""
+    if a.ndim == 2:
+        return float(np.abs(a - a.conj().T).max()) if a.size else 0.0
+    return np.abs(a - np.swapaxes(a.conj(), -1, -2)).max(axis=(-2, -1), initial=0.0)
 
 
-def assert_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL, what: str = "matrix") -> None:
+def assert_hermitian(a: np.ndarray, tol=HERMITIAN_TOL, what: str = "matrix") -> None:
+    """NonHermitianInput unless ``a``, one matrix or each of a stack, is within
+    ``tol`` of its Hermitian part; for a stack ``tol`` may give one tolerance per matrix."""
     dev = herm_deviation(a)
-    if dev > tol:
-        raise NonHermitianInput(f"{what} deviates from Hermiticity by {dev:.3e} (tol {tol:.1e})")
+    if a.ndim == 2:
+        if dev > tol:
+            raise NonHermitianInput(f"{what} deviates from Hermiticity by {dev:.3e} (tol {tol:.1e})")
+        return
+    bad = np.flatnonzero(dev > tol)
+    if bad.size:
+        k = bad[0]
+        raise NonHermitianInput(f"{what} {k} of the stack deviates from Hermiticity by {dev[k]:.3e} "
+                                f"(tol {np.broadcast_to(tol, dev.shape)[k]:.1e})")
 
 
 def phase_fix(psi: np.ndarray, threshold: float = 1e-8) -> np.ndarray:
@@ -61,51 +73,88 @@ def phase_fix_rows(states: np.ndarray, threshold: float = 1e-5) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HermitianEigen:
-    """Spectral decomposition; ``values`` ascending, ``vectors`` orthonormal columns."""
+    """Spectral decomposition of one matrix or of a stack: ``values`` (..., d) ascending,
+    ``vectors`` (..., d, d) orthonormal columns. Indexing a stack gives one matrix's."""
 
     values: np.ndarray
     vectors: np.ndarray
 
+    def __getitem__(self, k) -> "HermitianEigen":
+        return HermitianEigen(values=self.values[k], vectors=self.vectors[k])
+
     def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ self.vectors.conj().T
+        return (self.vectors * self.values[..., None, :]) @ np.swapaxes(self.vectors.conj(), -1, -2)
+
+
+def _block_lexsort(cols: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Stable order of the rows of ``cols`` by ``block`` (non-negative), then by
+    the rounded (re, im, re, im, ...) keys of each row: the order of
+    ``np.lexsort((*keys.T[::-1], block))``, from one sort of byte strings.
+
+    Each row becomes a big-endian string of unsigned words whose byte order is
+    the key order: the block, then the key floats with their bits mapped so
+    that they sort as the floats do (``+ 0.0`` makes -0.0 equal 0.0).
+    """
+    keys = np.round(np.ascontiguousarray(cols).view(np.float64), 10)
+    keys += 0.0
+    bits = keys.view(np.int64)
+    flip = bits >> 63  # all ones for a negative float, whose bits then sort reversed
+    flip |= np.int64(-1 << 63)
+    bits ^= flip
+    words = np.empty((bits.shape[0], bits.shape[1] + 1), dtype=">u8")
+    words[:, 0] = block
+    words[:, 1:] = bits.view(np.uint64)
+    return np.argsort(words.view(f"V{words.itemsize * words.shape[1]}").ravel(), kind="stable")
 
 
 def _canonical_order(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # eigh already sorts ascending. Every column is phase-fixed as phase_fix
-    # does with its default threshold; each factor is a numpy-scalar division,
-    # because the array division rounds differently in the last bit. A
-    # degenerate block (values within tol of its first) is then ordered by the
-    # rounded (re, im, re, im, ...) keys of its phase-fixed columns.
-    d = values.shape[0]
-    if d == 0:
+    # eigh already sorts each spectrum ascending. Every column is phase-fixed
+    # as phase_fix does with its default threshold; the factor conj(r) /
+    # hypot(re r, im r) rounds as phase_fix's numpy-scalar conj(r) / abs(r)
+    # does, which np.abs does not. A degenerate block (values within tol of
+    # its first) is then ordered by the rounded (re, im, re, im, ...) keys of
+    # its phase-fixed columns.
+    shape, d = vectors.shape, values.shape[-1]
+    if d == 0 or values.size == 0:
         return values, vectors
-    mags = np.abs(vectors)
-    first = np.argmax(mags > 1e-8 * mags.max(axis=0), axis=0)
-    refs = vectors[first, np.arange(d)]
-    cols = vectors * np.array([r.conjugate() / abs(r) for r in refs])
-    tol = 1e-12 * max(1.0, float(np.abs(values).max()))
-    order = np.arange(d)
-    end = 0
-    for i in np.flatnonzero(np.diff(values) <= tol):
-        if i < end:
-            continue
-        within = values[i:] - values[i] <= tol
-        end = i + (within.size if within.all() else int(np.argmin(within)))
-        # a float view of a complex row interleaves (re, im) as the keys do
-        keys = np.round(np.ascontiguousarray(cols[:, i:end].T).view(np.float64), 10)
-        order[i:end] = i + np.lexsort(keys.T[::-1])
-    return values[order], np.ascontiguousarray(cols[:, order])
+    vals, vecs = values.reshape(-1, d), vectors.reshape(-1, d, d)
+    m = vals.shape[0]
+    mags = np.abs(vecs)
+    first = np.argmax(mags > 1e-8 * mags.max(axis=1, keepdims=True), axis=1)
+    del mags  # a stack's temporaries set the peak memory of a run with a source
+    refs = np.take_along_axis(vecs, first[:, None, :], axis=1)[:, 0]
+    phases = refs.conj() / np.hypot(refs.real, refs.imag)
+    # one row per phase-fixed column, matrix after matrix
+    cols = np.multiply(np.swapaxes(vecs, 1, 2), phases[:, :, None], order="C").reshape(m * d, d)
+    # start[k, j]: first column of the block of column j; a block runs while
+    # values stay within tol of its first value
+    tol = 1e-12 * np.maximum(1.0, np.abs(vals).max(axis=1))
+    start = np.empty((m, d), dtype=np.intp)
+    start[:, 0] = 0
+    rows = np.arange(m)
+    for j in range(1, d):
+        prev = start[:, j - 1]
+        start[:, j] = np.where(vals[:, j] - vals[rows, prev] <= tol, prev, j)
+    order = np.arange(m * d)
+    block = (rows[:, None] * d + start).ravel()  # unique across the stack
+    if (block != order).any():
+        order = _block_lexsort(cols, block)
+    out_vecs = np.ascontiguousarray(np.swapaxes(cols[order].reshape(m, d, d), 1, 2))
+    return vals.ravel()[order].reshape(values.shape), out_vecs.reshape(shape)
 
 
-def hermitian_eig(a: np.ndarray, tol: float = HERMITIAN_TOL) -> HermitianEigen:
-    """Full spectral decomposition of a Hermitian matrix.
+def hermitian_eig(a: np.ndarray, tol=HERMITIAN_TOL) -> HermitianEigen:
+    """Full spectral decomposition of a Hermitian matrix (d, d) or of each of a stack (m, d, d).
 
-    Raises ``NonHermitianInput`` when ``a`` violates the Hermiticity tolerance.
-    Ordering is ascending in eigenvalue with deterministic tie-breaking and
-    phase-fixed eigenvectors, so repeated calls give identical output.
+    A stack takes one ``np.linalg.eigh`` call and gives, matrix by matrix,
+    the same bytes as separate calls. Raises ``NonHermitianInput`` when a
+    matrix violates the Hermiticity tolerance ``tol`` (a scalar, or one per
+    matrix). Ordering is ascending in eigenvalue with deterministic
+    tie-breaking and phase-fixed eigenvectors, so repeated calls give
+    identical output.
     """
     assert_hermitian(a, tol)
-    values, vectors = np.linalg.eigh(0.5 * (a + a.conj().T))
+    values, vectors = np.linalg.eigh(0.5 * (a + np.swapaxes(a.conj(), -1, -2)))
     values, vectors = _canonical_order(values, vectors)
     return HermitianEigen(values=values, vectors=vectors)
 
@@ -150,4 +199,4 @@ def expectation(a: np.ndarray, psi: np.ndarray) -> complex:
 
 def expectations_rows(a: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Real part of <psi|A|psi> for every row of an (n, d) state block."""
-    return np.einsum("ni,ij,nj->n", states.conj(), a, states).real
+    return np.einsum("ni,ni->n", states.conj(), states @ a.T).real

@@ -113,7 +113,12 @@ class TnpModel:
     channels: tuple[JumpChannel, ...]
     gamma: Union[str, MatrixLike] = LINDBLAD
     source: Optional[SourceTerm] = None
+    # derived at construction: the channel operators, their products L_j^dag L_j,
+    # and a constant H or Gamma as a validated complex matrix (None when callable)
     _ops: tuple[np.ndarray, ...] = field(init=False, repr=False, default=())
+    _op_products: tuple[np.ndarray, ...] = field(init=False, repr=False, default=())
+    _h: Optional[np.ndarray] = field(init=False, repr=False, default=None)
+    _gamma: Optional[np.ndarray] = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         ops = []
@@ -125,20 +130,35 @@ class TnpModel:
                 )
             ops.append(op)
         object.__setattr__(self, "_ops", tuple(ops))
+        object.__setattr__(self, "_op_products", tuple(op.conj().T @ op for op in ops))
+        if not callable(self.hamiltonian):
+            object.__setattr__(self, "_h", self._checked_hamiltonian(self.hamiltonian))
         h0 = self.hamiltonian_at(0.0)
         if h0.shape != (self.dim, self.dim):
             raise DimensionMismatch(f"Hamiltonian shape {h0.shape} != ({self.dim}, {self.dim})")
+        if not (self.is_trace_preserving or callable(self.gamma)):
+            object.__setattr__(self, "_gamma", self._checked_gamma(self.gamma))
         self.gamma_at(0.0)
 
     @property
     def is_trace_preserving(self) -> bool:
         return isinstance(self.gamma, str) and self.gamma == LINDBLAD
 
-    def hamiltonian_at(self, t: float) -> np.ndarray:
-        h = self.hamiltonian(t) if callable(self.hamiltonian) else self.hamiltonian
+    @staticmethod
+    def _checked_hamiltonian(h) -> np.ndarray:
         h = np.asarray(h, dtype=complex)
         assert_hermitian(h, what="Hamiltonian")
         return h
+
+    def _checked_gamma(self, g) -> np.ndarray:
+        g = np.asarray(g, dtype=complex)
+        if g.shape != (self.dim, self.dim):
+            raise DimensionMismatch(f"Gamma shape {g.shape} != ({self.dim}, {self.dim})")
+        assert_hermitian(g, what="Gamma")
+        return g
+
+    def hamiltonian_at(self, t: float) -> np.ndarray:
+        return self._h if self._h is not None else self._checked_hamiltonian(self.hamiltonian(t))
 
     def gamma_L(self, t: float) -> np.ndarray:
         """Gamma_L = sum_j gamma_j(t) L_j^dag L_j."""
@@ -147,19 +167,14 @@ class TnpModel:
     def gamma_L_from_rates(self, rates: Sequence[float]) -> np.ndarray:
         """Gamma_L = sum_j rates[j] L_j^dag L_j for rates already evaluated at one time."""
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        for rate, op in zip(rates, self._ops):
-            out += rate * (op.conj().T @ op)
+        for rate, product in zip(rates, self._op_products):
+            out += rate * product
         return out
 
     def gamma_at(self, t: float) -> np.ndarray:
         if self.is_trace_preserving:
             return self.gamma_L(t)
-        g = self.gamma(t) if callable(self.gamma) else np.asarray(self.gamma, dtype=complex)
-        g = np.asarray(g, dtype=complex)
-        if g.shape != (self.dim, self.dim):
-            raise DimensionMismatch(f"Gamma shape {g.shape} != ({self.dim}, {self.dim})")
-        assert_hermitian(g, what="Gamma")
-        return g
+        return self._gamma if self._gamma is not None else self._checked_gamma(self.gamma(t))
 
     def effective_hamiltonian(self, t: float) -> np.ndarray:
         """K = H - (i/2) Gamma, the non-Hermitian drift generator."""

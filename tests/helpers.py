@@ -1,6 +1,7 @@
 """Shared fixtures: random model generators, one-step oracles built from the
-scheme kernels, seeds that put a first-step uniform in a chosen bin, and
-loop-by-loop oracles of the stacked map propagation and eigenvector ordering."""
+scheme kernels, seeds that put a first-step uniform in a chosen bin,
+loop-by-loop oracles of the stacked map propagation and eigenvector ordering,
+and the three-operand contractions that the two-operand ones replace."""
 
 from __future__ import annotations
 
@@ -250,3 +251,25 @@ def canonical_order_loop(values: np.ndarray, vectors: np.ndarray) -> tuple[np.nd
         i = j + 1
     out_vecs = np.column_stack([cols[k] for k in order]) if d else vectors
     return values[order], out_vecs
+
+
+def average_state_oracle(ens: Ensemble) -> np.ndarray:
+    """sum_i (N_i / n_ref) |psi_i><psi_i| as one three-operand einsum."""
+    if ens.size == 0:
+        return np.zeros((ens.dim, ens.dim), dtype=complex)
+    w = ens.mult.astype(float) / ens.n_ref
+    return np.einsum("n,ni,nj->ij", w, ens.states, ens.states.conj())
+
+
+def expectations_rows_oracle(a: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Real part of <psi|A|psi> per row as one three-operand einsum."""
+    return np.einsum("ni,ij,nj->n", states.conj(), a, states).real
+
+
+def lexsort_run_starts(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable lexicographic order of the rows and the mask of run starts over the ordered rows."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    starts = np.ones(rows.shape[0], dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return order, starts

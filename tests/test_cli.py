@@ -207,3 +207,22 @@ def test_heisenberg_command_small(tmp_path):
     assert main(["--config", str(cfg_path), "--out", str(out)]) == 0
     _, header, rows = read_csv(out / "results.csv")
     assert header == ["t", "x_est", "z_est", "x_exact", "z_exact", "trace_est", "trace_exact", "distinct_states"]
+
+
+def test_heisenberg_command_rejects_an_unknown_method(tmp_path, capsys):
+    cfg = {"command": "heisenberg", "n_trajectories": 20, "t_final": 0.01, "record_every": 1, "n_groups": 1,
+           "method": "RO"}
+    assert main(["--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "out")]) == 2
+    assert "unknown method 'RO'" in capsys.readouterr().err
+
+
+def test_heisenberg_command_names_custom_observables(tmp_path):
+    sigma_z = [[1.0, 0.0], [0.0, -1.0]]
+    cfg = {"command": "heisenberg", "n_trajectories": 100, "t_final": 0.02, "record_every": 10, "n_groups": 2,
+           "observables": ["sigma_x", sigma_z, sigma_z], "seed": 4}
+    out = tmp_path / "out"
+    assert main(["--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+    _, header, rows = read_csv(out / "results.csv")
+    assert header == ["t", "x_est", "custom_1_est", "custom_2_est", "x_exact", "custom_1_exact", "custom_2_exact",
+                      "trace_est", "trace_exact", "distinct_states"]
+    assert all(row[5] == row[6] for row in rows)  # the same observable, each from its own ensembles

@@ -1,9 +1,9 @@
-"""One engine step on a crafted ensemble, and reverse jumps without a host."""
+"""One engine step on a crafted ensemble, reverse jumps without a host, and source blocks."""
 
 import numpy as np
 import pytest
 
-from tnpmc import Ensemble, JumpChannel, TimeGrid, TimeScalar, TnpModel, mcwf, pauli_ops, ro
+from tnpmc import Ensemble, JumpChannel, TimeGrid, TimeScalar, TnpModel, engine, mcwf, pauli_ops, ro
 from tnpmc.engine import STEP_STREAM_TAG, _advance_step
 from tnpmc.errors import CountLedgerError, NoSourceState
 from tnpmc.model import SourceTerm
@@ -144,3 +144,29 @@ def test_count_ledger_catches_a_lost_row(monkeypatch, where):
     monkeypatch.setattr(Ensemble, "_append_rows", drop_first_row)
     with pytest.raises(CountLedgerError, match=f"by the {where} at step \\d+, t = .*total count \\d+, expected"):
         mcwf.run(model, ens, grid)
+
+
+def test_source_blocks_do_not_change_the_run(monkeypatch):
+    # the midpoint sources are evaluated and eigendecomposed a block of steps
+    # at a time: every step's source is evaluated once, and the block size
+    # does not change a bit of the result
+    calls = []
+
+    def source(t):
+        calls.append(t)
+        c, s = np.cos(3.0 * t), np.sin(3.0 * t)
+        psi = np.array([c, s * np.exp(1j * t)])
+        return 0.8 * np.outer(psi, psi.conj()) + 0.2 * PROJ0
+
+    model = TnpModel(dim=2, hamiltonian=0.5 * P.x, channels=(JumpChannel(1.0, P.minus),),
+                     gamma=np.zeros((2, 2), dtype=complex), source=SourceTerm(source))
+    ens = Ensemble.sample_initial([(1.0, PLUS)], 300, seed=12, n_groups=3)
+    grid = TimeGrid(0.0, 1.5, DT)
+    whole = mcwf.run(model, ens, grid).final_ensemble
+    assert len(calls) == grid.n_steps > engine.SOURCE_BLOCK
+    assert calls == [grid.time_at(k) + 0.5 * DT for k in range(grid.n_steps)]
+    for block in (1, 7):
+        monkeypatch.setattr(engine, "SOURCE_BLOCK", block)
+        blocked = mcwf.run(model, ens, grid).final_ensemble
+        for name in Ensemble._FIELDS:
+            assert np.array_equal(getattr(blocked, name), getattr(whole, name)), (block, name)

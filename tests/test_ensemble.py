@@ -3,13 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from tnpmc import Ensemble, JumpChannel, TimeGrid, TnpModel, mcwf, pauli_ops
+from tnpmc import Ensemble, JumpChannel, TimeGrid, TnpModel, ensemble, mcwf, pauli_ops
 from tnpmc.engine import _build_snapshot
-from tnpmc.ensemble import canonical_key_rows, largest_remainder
+from tnpmc.ensemble import _run_starts, canonical_key_rows, largest_remainder
 from tnpmc.errors import EmptyDecomposition, InvalidParameter
 from tnpmc.model import SourceTerm
 
-from helpers import qubit_decay_model, random_state
+from helpers import average_state_oracle, lexsort_run_starts, qubit_decay_model, random_state
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -35,6 +35,53 @@ def test_average_state_overfilled():
     avg = ens.average_state()
     assert np.allclose(avg, 1.2 * np.outer(PLUS, PLUS.conj()))
     assert ens.trace_estimate() == pytest.approx(1.2)
+
+
+def test_average_state_equals_the_three_operand_form_bit_for_bit():
+    rng = np.random.default_rng(24)
+    for _ in range(60):
+        d, n = int(rng.integers(1, 25)), int(rng.integers(0, 900))
+        ens = Ensemble.empty(d, n_ref=int(rng.integers(1, 5000)), seed=0)
+        if n:
+            states = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+            ens._append_rows(states, rng.integers(1, 50, size=n), np.zeros(n, dtype=np.int64))
+        assert ens.average_state().tobytes() == average_state_oracle(ens).tobytes()
+
+
+def _duplicated_members(rng, d, n, n_groups):
+    """n members over n_groups groups, about a third of them phase-rotated copies of others."""
+    ens = Ensemble.empty(d, n_ref=n, seed=0, n_groups=n_groups)
+    base = [random_state(rng, d) for _ in range(2 * n // 3)]
+    states = [base[int(rng.integers(len(base)))] * np.exp(1j * rng.uniform(0, 6.3)) for _ in range(n)]
+    ens._append_rows(np.stack(states), rng.integers(1, 9, size=n), rng.integers(0, n_groups, size=n))
+    return ens
+
+
+@pytest.mark.parametrize("collide", [False, True], ids=["hash", "collision"])
+def test_merge_groups_rows_as_the_lexicographic_sort_does(monkeypatch, collide):
+    if collide:
+        # every row hashes to 0: distinct neighbours in hash order must send the
+        # merge to the lexicographic sort
+        monkeypatch.setattr(ensemble, "_key_mix", lambda width: np.zeros(width, dtype=np.int64))
+    rng = np.random.default_rng(17)
+    for d, n in ((2, 300), (20, 200)):
+        ens = _duplicated_members(rng, d, n, n_groups=3)
+        rows = np.concatenate([ens.group[:, None], canonical_key_rows(ens.states)], axis=1)
+        order, starts = _run_starts(rows)
+        want_order, want_starts = lexsort_run_starts(rows)
+        if collide:
+            assert np.array_equal(order, want_order) and np.array_equal(starts, want_starts)
+        # the same runs: each starts at the same smallest index and holds the same rows
+        runs = np.cumsum(starts) - 1
+        want_runs = np.cumsum(want_starts) - 1
+        assert sorted(order[starts]) == sorted(want_order[want_starts])
+        assert {tuple(sorted(order[runs == r])) for r in range(starts.sum())} == \
+            {tuple(sorted(want_order[want_runs == r])) for r in range(want_starts.sum())}
+        merged = ens.merge_duplicates()
+        assert merged.size == int(want_starts.sum()) < ens.size
+        assert merged.total_count() == ens.total_count()
+        assert np.array_equal(merged.ids, np.sort(want_order[want_starts]).astype(np.uint64))
+        assert ens.distinct_state_count() == _run_starts(canonical_key_rows(ens.states))[1].sum()
 
 
 def test_merge_duplicates_sums_counts():

@@ -164,6 +164,34 @@ def test_heisenberg_rejects_custom_observable_of_wrong_shape():
         HeisenbergConfig(observables=(np.eye(3),)).observable_matrices()
 
 
+def test_heisenberg_rejects_an_unknown_method():
+    for method in ("RO", "rate-operator", ""):
+        with pytest.raises(InvalidParameter, match="unknown method"):
+            run_heisenberg(HeisenbergConfig(method=method, n_trajectories=10, t_final=0.01, record_every=1,
+                                            n_groups=1))
+
+
+def test_heisenberg_keeps_every_custom_observable():
+    # two custom observables get their own series, named by position; the
+    # trace comes from the first observable, custom or not
+    x2 = 2.0 * P.x
+    cfg = HeisenbergConfig(observables=(P.z, "sigma_x", x2), n_trajectories=200, t_final=0.1,
+                           record_every=20, n_groups=4, seed=5)
+    names = [name for name, _ in cfg.observable_matrices()]
+    assert names == ["custom_0", "sigma_x", "custom_2"]
+    res = run_heisenberg(cfg)
+    assert list(res.series) == names
+    model = heisenberg_qubit(cfg.eps, cfg.gamma_minus, cfg.gamma_plus)
+    grid = TimeGrid(0.0, cfg.t_final, cfg.dt)
+    rec_idx = np.arange(0, grid.n_steps + 1, cfg.record_every)
+    for name, x0 in ((names[0], P.z), (names[2], x2)):
+        values = integrate(model, x0, grid).values[rec_idx]
+        assert np.array_equal(res.series[name].exact, np.einsum("tij,ji->t", values, cfg.pairing_state()).real)
+    assert np.array_equal(res.trace_exact, np.trace(integrate(model, P.z, grid).values[rec_idx],
+                                                    axis1=1, axis2=2).real)
+    assert np.allclose(res.series[names[2]].exact, 2.0 * res.series["sigma_x"].exact, atol=1e-12)
+
+
 def test_heisenberg_small_scale_tracks_oracle():
     cfg = HeisenbergConfig(n_trajectories=1500, t_final=1.0, record_every=100, n_groups=25, seed=13)
     res = run_heisenberg(cfg)

@@ -3,9 +3,9 @@ import pytest
 
 from tnpmc import boson_ops, expectation, hermitian_eig, pauli_ops, split_hermitian, split_positive
 from tnpmc.errors import DimensionMismatch, NonHermitianInput
-from tnpmc.linops import phase_fix, phase_fix_rows
+from tnpmc.linops import expectations_rows, phase_fix, phase_fix_rows
 
-from helpers import canonical_order_loop, random_hermitian, random_state
+from helpers import canonical_order_loop, expectations_rows_oracle, random_hermitian, random_state
 
 P = pauli_ops()
 
@@ -77,9 +77,33 @@ def test_eig_canonical_order_bit_for_bit():
     assert degenerate >= 100  # the tie-breaking sort is exercised
 
 
+def test_eig_of_a_stack_equals_separate_calls_bit_for_bit():
+    # one eigh call per stack: each matrix's spectrum must be byte-equal to its
+    # own call and to the per-column oracle
+    by_dim: dict[int, list] = {}
+    for a in _eig_inputs():
+        by_dim.setdefault(a.shape[0], []).append(a)
+    for d, mats in by_dim.items():
+        stack = hermitian_eig(np.stack(mats))
+        assert stack.values.shape == (len(mats), d) and stack.vectors.shape == (len(mats), d, d)
+        for k, a in enumerate(mats):
+            one = hermitian_eig(a)
+            values, vectors = np.linalg.eigh(0.5 * (a + a.conj().T))
+            want_values, want_vectors = canonical_order_loop(values, vectors)
+            for got in (stack[k], one):
+                assert got.values.tobytes() == want_values.tobytes()
+                assert got.vectors.tobytes() == want_vectors.tobytes()
+        assert np.abs(stack.reconstruct() - np.stack(mats)).max() <= 1e-9 * max(1.0, np.abs(mats).max())
+
+
 def test_eig_rejects_non_hermitian():
     with pytest.raises(NonHermitianInput):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # in a stack, the first offending matrix is named, against its own tolerance
+    stack = np.stack([np.eye(2), np.array([[0.0, 1e-6], [0.0, 0.0]]), np.array([[0.0, 1.0], [0.0, 0.0]])])
+    with pytest.raises(NonHermitianInput, match="matrix 2 of the stack deviates from Hermiticity by 1.000e"):
+        hermitian_eig(stack, tol=np.array([1e-10, 1e-5, 1e-5]))
+    hermitian_eig(stack[:2], tol=np.array([1e-10, 1e-5]))
 
 
 def test_split_hermitian_lowering_operator():
@@ -157,6 +181,19 @@ def test_expectation_linearity_and_phase_invariance():
     phase = np.exp(1j * 0.7)
     assert expectation(a, phase * psi) == pytest.approx(expectation(a, psi), abs=1e-12)
     assert abs(expectation(a, psi).imag) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2, 20])
+@pytest.mark.parametrize("n", [0, 1, 700])
+def test_expectations_rows_match_the_three_operand_form(d, n):
+    rng = np.random.default_rng(100 * d + n)
+    a = random_hermitian(rng, d, scale=2.0)
+    states = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+    got = expectations_rows(a, states)
+    want = expectations_rows_oracle(a, states)
+    assert got.shape == want.shape == (n,)
+    scale = np.abs(a).max() * (np.abs(states) ** 2).sum(axis=1)
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
 
 def test_expectation_dimension_mismatch():

@@ -7,6 +7,8 @@ from tnpmc import (
     TimeGrid,
     TimeScalar,
     TnpModel,
+    engine,
+    hermitian_eig,
     integrate,
     mcwf,
     pauli_ops,
@@ -188,25 +190,45 @@ def test_advance_trajectory_reverse_jump():
 def test_source_creation_events():
     src_key = stream_key(3, SOURCE_STREAM_TAG, 0)
     ens = Ensemble.empty(2, n_ref=100, seed=3)
-    _apply_source(TnpModel(dim=2, hamiltonian=np.zeros((2, 2)), channels=(),
-                           source=SourceTerm(np.zeros((2, 2)))), ens, src_key, 0.0, 0.01)
+    _apply_source(ens, src_key, hermitian_eig(np.zeros((2, 2))), 0.0, 0.01)
     assert ens.size == 0
-    model = TnpModel(dim=2, hamiltonian=np.zeros((2, 2)), channels=(),
-                     source=SourceTerm(np.outer(KET0, KET0.conj())))
+    spectrum = hermitian_eig(np.outer(KET0, KET0.conj()))
     # eta * n_ref * dt = 3 copies per step, drawn on the stream of the step count
     total = 0
     n_draws = 10_000
     for step in range(n_draws):
         ens = Ensemble.empty(2, n_ref=100, seed=3)
         ens.steps = step
-        _apply_source(model, ens, src_key, 0.0, 0.03)
+        _apply_source(ens, src_key, spectrum, 0.0, 0.03)
         total += ens.total_count()
         if ens.size:
             assert ens.size == 1 and np.allclose(np.abs(ens.states[0]), np.abs(KET0))
     assert abs(total / n_draws - 3.0) <= 0.06
     with pytest.raises(NegativeSource):
-        _apply_source(TnpModel(dim=2, hamiltonian=np.zeros((2, 2)), channels=(),
-                               source=SourceTerm(-1e-3 * np.eye(2))), ens, src_key, 0.0, 0.01)
+        _apply_source(ens, src_key, hermitian_eig(-1e-3 * np.eye(2)), 0.0, 0.01)
+
+
+def test_negative_source_names_the_failing_step():
+    # the source turns negative from t = 0.25 on: the steps before it run, and
+    # the error names the time of the first failing step, not its block's first
+    def source(t):
+        return np.outer(KET0, KET0.conj()) * (1.0 if t < 0.25 else -1.0)
+
+    model = TnpModel(dim=2, hamiltonian=np.zeros((2, 2)), channels=(), gamma=np.zeros((2, 2), dtype=complex),
+                     source=SourceTerm(source))
+    steps = []
+    original = engine._advance_step
+
+    def counted(*args, **kwargs):
+        steps.append(args[3])
+        return original(*args, **kwargs)
+
+    ens = Ensemble.sample_initial([(1.0, KET1)], 100, seed=2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_advance_step", counted)
+        with pytest.raises(NegativeSource, match=r"below -1e-06 at t = 0\.25$"):
+            mcwf.run(model, ens, TimeGrid(0.0, 1.0, 0.05))
+    assert len(steps) == 6  # steps at t = 0, 0.05, ..., 0.25; the source of the last fails
 
 
 def test_one_step_unbiasedness_single_model():

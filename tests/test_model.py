@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tnpmc import JumpChannel, TimeScalar, TnpModel, boson_ops, heisenberg_qubit, pauli_ops, tilted_lindbladian
+from tnpmc import JumpChannel, TimeScalar, TnpModel, boson_ops, heisenberg_qubit, model, pauli_ops, tilted_lindbladian
 from tnpmc.errors import DimensionMismatch, InvalidParameter, NonHermitianInput
 from tnpmc.model import matrix_from_json, matrix_to_json, model_from_dict, time_scalar_from_json
 
@@ -193,6 +193,35 @@ def test_hermiticity_validation():
         TnpModel(dim=2, hamiltonian=P.minus, channels=())
     with pytest.raises(DimensionMismatch):
         TnpModel(dim=3, hamiltonian=np.zeros((3, 3)), channels=(JumpChannel(1.0, P.minus),))
+
+
+def test_constant_parts_are_validated_once(monkeypatch):
+    checked = []
+    check = model.assert_hermitian
+    monkeypatch.setattr(model, "assert_hermitian", lambda a, **kw: checked.append(kw["what"]) or check(a, **kw))
+    rng = np.random.default_rng(8)
+    h, g = random_hermitian(rng, 3), random_hermitian(rng, 3)
+    ops = [rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(2)]
+    m = TnpModel(dim=3, hamiltonian=h, channels=tuple(JumpChannel(1.0, op) for op in ops), gamma=g)
+    assert checked == ["Hamiltonian", "Gamma"]
+    for t in (0.0, 0.5, 1.0):
+        assert np.array_equal(m.hamiltonian_at(t), h) and np.array_equal(m.gamma_at(t), g)
+    assert checked == ["Hamiltonian", "Gamma"]
+    # the cached L^dag L products give the same bits as forming them per call
+    rates = [0.3, -1.7]
+    want = np.zeros((3, 3), dtype=complex)
+    for rate, op in zip(rates, ops):
+        want += rate * (op.conj().T @ op)
+    assert m.gamma_L_from_rates(rates).tobytes() == want.tobytes()
+    # callables are still checked at every call
+    checked.clear()
+    drifting = TnpModel(dim=2, hamiltonian=lambda t: P.x + t * P.minus, channels=(), gamma=lambda t: t * P.z)
+    assert checked == ["Hamiltonian", "Gamma"]
+    drifting.gamma_at(2.0)
+    with pytest.raises(NonHermitianInput, match="Hamiltonian"):
+        drifting.hamiltonian_at(1.0)
+    with pytest.raises(NonHermitianInput, match="Gamma"):
+        TnpModel(dim=2, hamiltonian=P.x, channels=(), gamma=P.minus)
 
 
 # -- config schema ----------------------------------------------------------

@@ -10,12 +10,17 @@ count with a binomial, categorical or multinomial draw. Structural changes,
 source creations included, are applied at the end-of-step barrier in object
 order, so results are bit-identical given ``(config, seed)``, and the count
 ledger is checked after every change.
+
+Several ensembles that share the model and grid can advance as lanes of one
+run: the model is evaluated once per step for all of them, and each lane
+keeps its own rows, streams and counters, so its result is byte-identical to
+a run of that ensemble alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -83,7 +88,7 @@ def _match_keys(uniq_keys: np.ndarray, candidate_states: np.ndarray) -> np.ndarr
 
 def run(
     model: TnpModel,
-    ensemble: Ensemble,
+    ensembles: Union[Ensemble, Sequence[Ensemble]],
     grid: TimeGrid,
     scheme,
     *,
@@ -93,73 +98,166 @@ def run(
     observables: Optional[dict[str, np.ndarray]] = None,
     jump_mass_limit: float = JUMP_MASS_LIMIT,
     record_distinct: bool = True,
-) -> RunResult:
-    if abs(ensemble.time - grid.t0) > 1e-9:
-        raise InvalidParameter(f"ensemble time {ensemble.time} != grid start {grid.t0}")
+) -> Union[RunResult, list[RunResult]]:
+    """Advance an ensemble over the grid, recording count-weighted averages.
+
+    ``ensembles`` is one Ensemble, which gives one RunResult, or a sequence of
+    ensembles that share the model and grid ("lanes"), which gives one
+    RunResult per ensemble. The lanes advance in one time loop, and each
+    result is byte-identical to a separate run of its ensemble.
+    """
+    lanes = _Lanes([ensembles] if isinstance(ensembles, Ensemble) else list(ensembles))
+    for e in lanes.inputs:
+        if abs(e.time - grid.t0) > 1e-9:
+            raise InvalidParameter(f"ensemble time {e.time} != grid start {grid.t0}")
     if record_every < 1:
         raise InvalidParameter("record_every must be >= 1")
+    if reverse_jumps and lanes.n > 1:
+        raise InvalidParameter("reverse jumps need a run of one ensemble")
     if merge is None:
         merge = not reverse_jumps
     observables = observables or {}
 
-    ens = ensemble.copy()
+    ens = lanes.join()
     dt = grid.dt
-    seed = ens.seed
-    step_key = stream_key(seed, STEP_STREAM_TAG)
-    src_key = stream_key(seed, SOURCE_STREAM_TAG, 0)
-
-    rec_times = []
-    rec_avg = []
-    rec_trace = []
-    rec_total = []
-    rec_distinct = []
-    rec_gcounts = []
-    rec_gobs = {name: [] for name in observables}
+    series = [_Series(observables, record_distinct) for _ in range(lanes.n)]
 
     def record():
-        rec_times.append(ens.time)
-        rec_avg.append(ens.average_state())
-        rec_trace.append(ens.trace_estimate())
-        rec_total.append(ens.total_count())
-        rec_distinct.append(ens.distinct_state_count() if record_distinct else 0)
-        rec_gcounts.append(ens.group_counts())
-        for name, op in observables.items():
-            rec_gobs[name].append(ens.group_observable_sums(op) / ens.n_ref)
+        bounds = lanes.bounds(ens)
+        for lane, s in enumerate(series):
+            s.record(lanes.view(ens, lane, bounds))
 
     record()
     for step in range(grid.n_steps):
         t = grid.time_at(step)
-        _advance_step(model, ens, scheme, t, dt, reverse_jumps, step_key, jump_mass_limit)
+        _advance_step(model, ens, scheme, t, dt, reverse_jumps, lanes, jump_mass_limit)
         if step % SOURCE_BLOCK == 0:
             spectra = _source_spectra(model, grid, step)
         if spectra is not None:
-            _apply_source(ens, src_key, spectra[step % SOURCE_BLOCK], t, dt)
+            _apply_source(ens, lanes, spectra[step % SOURCE_BLOCK], t, dt)
         ens.steps += 1
+        lanes.steps += 1
         if merge:
             ens._merge_in_place()
         ens.time = grid.time_at(step + 1)
         if (step + 1) % record_every == 0:
             record()
 
-    return RunResult(
-        times=np.array(rec_times),
-        average_states=np.array(rec_avg) if rec_avg else np.zeros((0, ens.dim, ens.dim)),
-        trace_estimates=np.array(rec_trace),
-        total_counts=np.array(rec_total, dtype=np.int64),
-        distinct_counts=np.array(rec_distinct, dtype=np.int64),
-        group_counts=np.array(rec_gcounts, dtype=np.int64),
-        group_observables={k: np.array(v) for k, v in rec_gobs.items()},
-        n_ref=ens.n_ref,
-        seed=seed,
-        n_groups=ens.n_groups,
-        final_ensemble=ens,
-    )
+    bounds = lanes.bounds(ens)
+    results = [s.result(lanes.view(ens, lane, bounds)) for lane, s in enumerate(series)]
+    return results[0] if isinstance(ensembles, Ensemble) else results
 
 
-def _advance_step(model, ens, scheme, t, dt, reverse_jumps, step_key, jump_mass_limit=JUMP_MASS_LIMIT):
+class _Lanes:
+    """Ensembles advanced together, stored as contiguous blocks of rows of one
+    working ensemble, each block in its own ensemble's row order.
+
+    Every lane keeps its own seed, step counter, id counter, reference count
+    and groups. Group ids are offset per lane, so one merge of the working
+    ensemble never joins rows of two lanes, and new rows go to the end of
+    their lane. A run of one ensemble works on a plain copy of it.
+    """
+
+    def __init__(self, ensembles: list[Ensemble]):
+        if not ensembles:
+            raise InvalidParameter("no ensemble to run")
+        if len({e.dim for e in ensembles}) > 1:
+            raise InvalidParameter(f"ensembles of one run need one dimension, got {[e.dim for e in ensembles]}")
+        self.inputs = ensembles
+        self.n = len(ensembles)
+        self.goff = np.cumsum([0] + [e.n_groups for e in ensembles])
+        self.steps = np.array([e.steps for e in ensembles], dtype=np.int64)
+        self.next_id = [e.next_id for e in ensembles]
+        self.step_keys = [stream_key(e.seed, STEP_STREAM_TAG) for e in ensembles]
+        self.src_keys = [stream_key(e.seed, SOURCE_STREAM_TAG, 0) for e in ensembles]
+
+    def join(self) -> Ensemble:
+        """A working copy holding the rows of every lane, group ids offset per lane."""
+        if self.n == 1:
+            return self.inputs[0].copy()
+        first = self.inputs[0]  # its header stands in for the lanes', which the lanes keep
+        ens = Ensemble(first.dim, first.n_ref, first.seed, first.time, int(self.goff[-1]))
+        for name in Ensemble._FIELDS:
+            setattr(ens, name, np.concatenate([getattr(e, name) for e in self.inputs]))
+        ens.group = ens.group + np.repeat(self.goff[:-1], [e.size for e in self.inputs])
+        ens.next_id = sum(self.next_id)
+        ens.steps = first.steps
+        return ens
+
+    def bounds(self, ens: Ensemble) -> list[int]:
+        """First row of each lane in the working ensemble, then its size."""
+        if self.n == 1:
+            return [0, ens.size]
+        lane = np.searchsorted(self.goff[1:-1], ens.group, side="right")
+        return [0] + np.cumsum(np.bincount(lane, minlength=self.n)).tolist()
+
+    def view(self, ens: Ensemble, lane: int, bounds: list[int]) -> Ensemble:
+        """The rows and counters of one lane as an ensemble of its own."""
+        if self.n == 1:
+            return ens
+        e = self.inputs[lane]
+        rows = slice(bounds[lane], bounds[lane + 1])
+        out = Ensemble(e.dim, e.n_ref, e.seed, ens.time, e.n_groups)
+        out.states, out.mult, out.ids = ens.states[rows], ens.mult[rows], ens.ids[rows]
+        out.group = ens.group[rows] - self.goff[lane]
+        out.next_id, out.steps = self.next_id[lane], int(self.steps[lane])
+        return out
+
+    def locate(self, i: int, bounds: list[int]) -> tuple[str, int]:
+        """How guard errors name row i, and the step counter of its lane."""
+        if self.n == 1:
+            return f"object {i}", int(self.steps[0])
+        lane = int(np.searchsorted(bounds, i, side="right")) - 1
+        return f"lane {lane} object {i - bounds[lane]}", int(self.steps[lane])
+
+    def append(self, ens: Ensemble, bounds: list[int], sizes: list[int], states, mult, group) -> None:
+        """Put new rows at the end of their lanes with fresh ids of their lane: the
+        first ``sizes[0]`` rows go to lane 0, the next ``sizes[1]`` to lane 1, ..."""
+        ids = [np.arange(first, first + size, dtype=np.uint64) for first, size in zip(self.next_id, sizes) if size]
+        self.next_id = [first + size for first, size in zip(self.next_id, sizes)]
+        ens.next_id += sum(sizes)
+        ens._insert_rows(bounds[1:], sizes, states, mult, group, ids[0] if len(ids) == 1 else np.concatenate(ids))
+
+
+class _Series:
+    """The time series one lane records."""
+
+    def __init__(self, observables: dict[str, np.ndarray], record_distinct: bool):
+        self.observables, self.record_distinct = observables, record_distinct
+        self.times, self.avg, self.trace, self.total, self.distinct, self.gcounts = [], [], [], [], [], []
+        self.gobs = {name: [] for name in observables}
+
+    def record(self, ens: Ensemble) -> None:
+        self.times.append(ens.time)
+        self.avg.append(ens.average_state())
+        self.trace.append(ens.trace_estimate())
+        self.total.append(ens.total_count())
+        self.distinct.append(ens.distinct_state_count() if self.record_distinct else 0)
+        self.gcounts.append(ens.group_counts())
+        for name, op in self.observables.items():
+            self.gobs[name].append(ens.group_observable_sums(op) / ens.n_ref)
+
+    def result(self, ens: Ensemble) -> RunResult:
+        return RunResult(
+            times=np.array(self.times),
+            average_states=np.array(self.avg) if self.avg else np.zeros((0, ens.dim, ens.dim)),
+            trace_estimates=np.array(self.trace),
+            total_counts=np.array(self.total, dtype=np.int64),
+            distinct_counts=np.array(self.distinct, dtype=np.int64),
+            group_counts=np.array(self.gcounts, dtype=np.int64),
+            group_observables={k: np.array(v) for k, v in self.gobs.items()},
+            n_ref=ens.n_ref,
+            seed=ens.seed,
+            n_groups=ens.n_groups,
+            final_ensemble=ens,
+        )
+
+
+def _advance_step(model, ens, scheme, t, dt, reverse_jumps, lanes, jump_mass_limit=JUMP_MASS_LIMIT):
     """Draw one outcome per realization and apply all of them at the barrier.
 
-    The draws come from the stream of ``step_key`` at counter ``ens.steps``:
+    The model is evaluated once for all lanes; the kernels run on each lane's
+    rows. Each lane draws from the stream of its seed at its step counter:
     four uniforms per object (``batched_uniform_words``), then the
     multinomial fallbacks in object order.
 
@@ -173,19 +271,29 @@ def _advance_step(model, ens, scheme, t, dt, reverse_jumps, step_key, jump_mass_
         return None
     ctx = scheme.prepare(model, t, dt)
     states, mult = ens.states, ens.mult
-
-    raw_bins = scheme.jump_bins(ctx, states)  # (n, J), possibly negative entries
-    det_states = scheme.det_states(ctx, states)
-    x = scheme.x_values(ctx, states)
+    bounds = lanes.bounds(ens)
+    spans = [(lane, lo, hi) for lane, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])) if hi > lo]
+    # each lane's context, first row and rows; a kernel may leave per-row data
+    # in its context (the rate-operator eigenvectors)
+    blocks = {lane: (ctx if lanes.n == 1 else dict(ctx), lo, states[lo:hi]) for lane, lo, hi in spans}
+    parts = [
+        (scheme.jump_bins(c, rows), scheme.det_states(c, rows), scheme.x_values(c, rows))
+        for c, _, rows in blocks.values()
+    ]
+    if len(parts) == 1:
+        raw_bins, det_states, x = parts[0]  # (n, J) jump bins, possibly negative
+    else:
+        raw_bins, det_states, x = (np.concatenate(p) for p in zip(*parts))
     pd = np.maximum(0.0, -x * dt)
     pdc = pd + np.maximum(0.0, x * dt)
 
-    neg_mask = raw_bins < scheme.negative_tol
+    neg_mask = raw_bins < ctx["negative_tol"]
     if neg_mask.any() and not reverse_jumps:
         i, b = (int(v) for v in np.argwhere(neg_mask)[0])
+        where, at_step = lanes.locate(i, bounds)
         raise NegativeProbability(
-            f"object {i} (multiplicity {int(mult[i])}): jump branch {b} has negative probability "
-            f"{raw_bins[i, b]:.3e} at step {ens.steps}, t = {t:.6g}; enable reverse jumps"
+            f"{where} (multiplicity {int(mult[i])}): jump branch {b} has negative probability "
+            f"{raw_bins[i, b]:.3e} at step {at_step}, t = {t:.6g}; enable reverse jumps"
         )
     pos_bins = np.where(raw_bins < 0.0, 0.0, raw_bins)
     n_jump = pos_bins.shape[1]
@@ -212,19 +320,19 @@ def _advance_step(model, ens, scheme, t, dt, reverse_jumps, step_key, jump_mass_
     event_mass = jump_mass + rev_total + pd
     i = int(np.argmax(event_mass))
     if event_mass[i] > jump_mass_limit:
+        where, at_step = lanes.locate(i, bounds)
         raise StepTooLarge(
             f"jump+disappearance probability {event_mass[i]:.3g} exceeds {jump_mass_limit} at step "
-            f"{ens.steps}, t = {t:.6g} for {_guard_detail(mult, i, pos_bins, rev_total, pd, pdc)}; reduce dt"
+            f"{at_step}, t = {t:.6g} for {_guard_detail(where, mult, i, pos_bins, rev_total, pd, pdc)}; reduce dt"
         )
     i = int(np.argmin(pdet))
     if pdet[i] < -1e-12:
+        where, at_step = lanes.locate(i, bounds)
         raise StepTooLarge(
-            f"outcome probabilities exceed 1 by {-pdet[i]:.3g} at step {ens.steps}, t = {t:.6g} "
-            f"for {_guard_detail(mult, i, pos_bins, rev_total, pd, pdc)}; reduce dt"
+            f"outcome probabilities exceed 1 by {-pdet[i]:.3g} at step {at_step}, t = {t:.6g} "
+            f"for {_guard_detail(where, mult, i, pos_bins, rev_total, pd, pdc)}; reduce dt"
         )
 
-    gen = make_generator(step_key[0], step_key[1], ens.steps)
-    u0, u1, u2, u3 = batched_uniform_words(mult, gen)
     counts = np.zeros((n, n_jump + 3), dtype=np.int64)
     rev_counts: dict[int, np.ndarray] = {}  # object -> reverse jumps per exit of its class
 
@@ -236,6 +344,43 @@ def _advance_step(model, ens, scheme, t, dt, reverse_jumps, step_key, jump_mass_
         edges = np.cumsum(np.concatenate([[lo], probs / scale]))[1:]
         e = min(int((u >= edges).sum()), probs.shape[0] - 1)
         rev_counts.setdefault(int(i), np.zeros(probs.shape[0], dtype=np.int64))[e] += 1
+
+    # multiplicity m > 1: the number k of non-deterministic events is
+    # Binomial(m, p_ev); up to three events take one categorical uniform each,
+    # more events and large lumps fall back to a multinomial Generator
+    k = np.zeros(n, dtype=np.int64)
+    u_parts = []
+    for lane, lo, hi in spans:
+        gen = make_generator(*lanes.step_keys[lane], lanes.steps[lane])
+        u_parts.append(batched_uniform_words(mult[lo:hi], gen))
+        multi = lo + np.flatnonzero(mult[lo:hi] > 1)
+        if not multi.size:
+            continue
+        m = mult[multi]
+        p_ev = jump_mass[multi] + rev_total[multi] + pdc[multi]
+        small = m * p_ev <= 32.0
+        k_lane = np.zeros(multi.size, dtype=np.int64)
+        k_lane[small] = binomial_inverse(m[small], p_ev[small], u_parts[-1][0][multi[small] - lo])
+        counts[multi, DET] = m - k_lane
+        k[multi] = k_lane
+        for c in np.flatnonzero(~small | (k_lane > 3)):
+            # the lane's multinomial fallbacks continue its stream, in object order
+            i = int(multi[c])
+            probs = exits.get(int(obj_class[i]), (np.zeros(0),))[0]
+            ev = np.concatenate([pos_bins[i], probs, pdc[i : i + 1]])
+            if small[c]:
+                drawn = gen.multinomial(int(k_lane[c]), ev / ev.sum())
+            else:
+                pvec = np.append(ev, max(pdet[i], 0.0))
+                drawn = gen.multinomial(int(m[c]), pvec / pvec.sum())
+                counts[i, DET] = drawn[-1]
+            r = probs.shape[0]
+            counts[i, :REV] = drawn[:REV]
+            counts[i, REV] = drawn[REV : REV + r].sum()
+            counts[i, DC] = drawn[REV + r]
+            if counts[i, REV]:
+                rev_counts[i] = drawn[REV : REV + r]
+    u0, u1, u2, u3 = u_parts[0] if len(u_parts) == 1 else (np.concatenate(w) for w in zip(*u_parts))
 
     # multiplicity 1: one inverse-CDF pass over u0
     single = np.flatnonzero(mult == 1)
@@ -249,67 +394,44 @@ def _advance_step(model, ens, scheme, t, dt, reverse_jumps, step_key, jump_mass_
         for r in np.flatnonzero(idx == REV):
             pick_exit(single[r], u0[single[r]], cum[r, REV - 1], 1.0)
 
-    # multiplicity m > 1: the number k of non-deterministic events is
-    # Binomial(m, p_ev); up to three events take one categorical uniform each,
-    # more events and large lumps fall back to a multinomial Generator
-    multi = np.flatnonzero(mult > 1)
-    if multi.size:
-        m = mult[multi]
-        p_ev = jump_mass[multi] + rev_total[multi] + pdc[multi]
-        small = m * p_ev <= 32.0
-        k = np.zeros(multi.size, dtype=np.int64)
-        k[small] = binomial_inverse(m[small], p_ev[small], u0[multi[small]])
-        counts[multi, DET] = m - k
-
-        cat = np.flatnonzero(small & (k >= 1) & (k <= 3))
-        if cat.size:
-            rows = multi[cat]
-            ev = np.concatenate([pos_bins[rows], rev_total[rows, None], pdc[rows, None]], axis=1)
-            total = np.cumsum(ev, axis=1)[:, -1]
-            acc = np.cumsum(ev / total[:, None], axis=1)
-            for w, u in enumerate((u1, u2, u3)):
-                sel = np.flatnonzero(k[cat] > w)
-                idx = np.minimum((u[rows[sel], None] >= acc[sel]).sum(axis=1), DC)
-                counts[rows[sel], idx] += 1
-                for s in sel[idx == REV]:
-                    pick_exit(rows[s], u[rows[s]], acc[s, REV - 1], total[s])
-
-        for c in np.flatnonzero(~small | (k > 3)):
-            i = int(multi[c])
-            probs = exits.get(int(obj_class[i]), (np.zeros(0),))[0]
-            ev = np.concatenate([pos_bins[i], probs, pdc[i : i + 1]])
-            if small[c]:
-                drawn = gen.multinomial(int(k[c]), ev / ev.sum())
-            else:
-                pvec = np.append(ev, max(pdet[i], 0.0))
-                drawn = gen.multinomial(int(m[c]), pvec / pvec.sum())
-                counts[i, DET] = drawn[-1]
-            r = probs.shape[0]
-            counts[i, :REV] = drawn[:REV]
-            counts[i, REV] = drawn[REV : REV + r].sum()
-            counts[i, DC] = drawn[REV + r]
-            if counts[i, REV]:
-                rev_counts[i] = drawn[REV : REV + r]
+    # lumps of one to three events: one categorical uniform per event
+    rows = np.flatnonzero((k >= 1) & (k <= 3))
+    if rows.size:
+        ev = np.concatenate([pos_bins[rows], rev_total[rows, None], pdc[rows, None]], axis=1)
+        total = np.cumsum(ev, axis=1)[:, -1]
+        acc = np.cumsum(ev / total[:, None], axis=1)
+        for w, u in enumerate((u1, u2, u3)):
+            sel = np.flatnonzero(k[rows] > w)
+            idx = np.minimum((u[rows[sel], None] >= acc[sel]).sum(axis=1), DC)
+            counts[rows[sel], idx] += 1
+            for s in sel[idx == REV]:
+                pick_exit(rows[s], u[rows[s]], acc[s, REV - 1], total[s])
 
     # -- apply outcomes at the barrier; new objects are spawned in object order
     replicated = np.where(pd > 0.0, 0, counts[:, DC])
+    spawning = np.flatnonzero((counts[:, :DET] > 0).any(axis=1))
+    cut = np.searchsorted(spawning, bounds).tolist()
     spawns: list[tuple[int, np.ndarray, int]] = []  # (parent, state, count)
-    for i in np.flatnonzero((counts[:, :DET] > 0).any(axis=1)):
-        spawns += [(i, scheme.jump_target(ctx, states, i, int(b)), counts[i, b])
-                   for b in np.flatnonzero(counts[i, :REV])]
-        if i in rev_counts:
-            targets = exits[int(obj_class[i])][1]
-            spawns += [(i, sources[targets[e]], rev_counts[i][e]) for e in np.flatnonzero(rev_counts[i])]
-        if replicated[i]:
-            # replication: parents continue deterministically, copies split off
-            spawns.append((i, det_states[i], replicated[i]))
+    sizes = [0] * lanes.n  # spawned rows per lane
+    for lane, (c, lo, rows) in blocks.items():
+        start = len(spawns)
+        for i in spawning[cut[lane] : cut[lane + 1]].tolist():
+            spawns += [(i, scheme.jump_target(c, rows, i - lo, int(b)), counts[i, b])
+                       for b in np.flatnonzero(counts[i, :REV])]
+            if i in rev_counts:
+                targets = exits[int(obj_class[i])][1]
+                spawns += [(i, sources[targets[e]], rev_counts[i][e]) for e in np.flatnonzero(rev_counts[i])]
+            if replicated[i]:
+                # replication: parents continue deterministically, copies split off
+                spawns.append((i, det_states[i], replicated[i]))
+        sizes[lane] = len(spawns) - start
 
     ens.states = det_states
     ens.mult = counts[:, DET] + replicated
     if spawns:
-        parents = [parent for parent, _, _ in spawns]
-        ens._append_rows(np.stack([state for _, state, _ in spawns]), [int(c) for _, _, c in spawns],
-                         ens.group[parents])
+        parents, new_states, new_counts = zip(*spawns)
+        lanes.append(ens, bounds, sizes, np.stack(new_states), [int(c) for c in new_counts],
+                     ens.group[list(parents)])
     ens.drop_empty()
     # jumps and reverse jumps move realizations; only the vanish/replicate bin changes the total
     vanished = int(counts[pd > 0.0, DC].sum())
@@ -327,7 +449,7 @@ def _check_ledger(ens, expected, what, t):
         )
 
 
-def _guard_detail(mult, i, pos_bins, rev_total, pd, pdc):
+def _guard_detail(where, mult, i, pos_bins, rev_total, pd, pdc):
     """Object i, its largest outcome branch and its event masses, for guard errors."""
     labels = [f"jump branch {b}" for b in range(pos_bins.shape[1])]
     labels += ["reverse", "disappearance", "replication"]
@@ -335,7 +457,7 @@ def _guard_detail(mult, i, pos_bins, rev_total, pd, pdc):
     k = int(np.argmax(mass))
     rev, vanish, copy = mass[-3:]
     return (
-        f"object {i} (multiplicity {int(mult[i])}), largest mass {mass[k]:.3g} in {labels[k]} "
+        f"{where} (multiplicity {int(mult[i])}), largest mass {mass[k]:.3g} in {labels[k]} "
         f"(jump {mass[:-3].sum():.3g}, reverse {rev:.3g}, disappearance {vanish:.3g}, replication {copy:.3g})"
     )
 
@@ -356,23 +478,31 @@ def _source_spectra(model, grid, first):
     return hermitian_eig(s, tol=1e-8 * np.maximum(1.0, np.abs(s).max(axis=(1, 2))))
 
 
-def _apply_source(ens, src_key, eig, t, dt):
-    """Poisson creations in the eigenstates of the step's source, whose spectrum is ``eig``."""
+def _apply_source(ens, lanes, eig, t, dt):
+    """Poisson creations in the eigenstates of the step's source, whose spectrum is ``eig``,
+    drawn per lane and put at the end of the lane."""
     vals = eig.values
     if float(vals.min()) < -NEG_SOURCE_TOL:
         raise NegativeSource(f"source eigenvalue {vals.min():.3e} below -{NEG_SOURCE_TOL} at t = {t:.6g}")
-    # keyed by the ensemble's own step count, which a checkpoint carries across a resume
-    gen = make_generator(src_key[0], src_key[1], ens.steps)
     before = int(ens.mult.sum())
     created = np.flatnonzero(vals > 0.0)
-    copies = gen.poisson(vals[created] * ens.n_ref * dt)
-    rows = []
-    for i, c in zip(created[copies > 0], copies[copies > 0]):
-        state = eig.vectors[:, i]
-        if ens.n_groups == 1:
-            rows.append((state, int(c), 0))
-        else:
-            split = gen.multinomial(c, np.full(ens.n_groups, 1.0 / ens.n_groups))
-            rows += [(state, int(split[g]), int(g)) for g in np.flatnonzero(split)]
-    ens._append_members(rows)
+    rows = []  # (state, count, group)
+    sizes = [0] * lanes.n  # created rows per lane
+    for lane, e in enumerate(lanes.inputs):
+        # keyed by the lane's own step count, which a checkpoint carries across a resume
+        gen = make_generator(*lanes.src_keys[lane], lanes.steps[lane])
+        copies = gen.poisson(vals[created] * e.n_ref * dt)
+        g0 = int(lanes.goff[lane])
+        start = len(rows)
+        for i, c in zip(created[copies > 0], copies[copies > 0]):
+            state = eig.vectors[:, i]
+            if e.n_groups == 1:
+                rows.append((state, int(c), g0))
+            else:
+                split = gen.multinomial(c, np.full(e.n_groups, 1.0 / e.n_groups))
+                rows += [(state, int(split[g]), g0 + int(g)) for g in np.flatnonzero(split)]
+        sizes[lane] = len(rows) - start
+    if rows:
+        states, mult, group = zip(*rows)
+        lanes.append(ens, lanes.bounds(ens), sizes, np.stack(states), mult, group)
     _check_ledger(ens, before + sum(c for _, c, _ in rows), "source", t)

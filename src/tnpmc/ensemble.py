@@ -75,11 +75,22 @@ def _run_starts(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     are compared exactly, and a hash collision between different rows falls
     back to a lexicographic sort.
     """
+    n = rows.shape[0]
     h = rows @ _key_mix(rows.shape[1])
-    order = np.argsort(h, kind="stable")
+    # one value sort of the hash with its low bits replaced by the row index, several
+    # times faster than a stable argsort: equal hashes stay in index order, and only
+    # different hashes that share their high bits can interleave, then the stable sort runs
+    bits = max(1, (n - 1).bit_length())
+    key = np.sort((h >> bits << bits) | np.arange(n))
+    order = key & ((1 << bits) - 1)
     hs = h[order]
-    starts = np.ones(rows.shape[0], dtype=bool)
+    starts = np.ones(n, dtype=bool)
     starts[1:] = hs[1:] != hs[:-1]
+    high = key >> bits
+    if (starts[1:] & (high[1:] == high[:-1])).any():
+        order = np.argsort(h, kind="stable")
+        hs = h[order]
+        starts[1:] = hs[1:] != hs[:-1]
     same = np.flatnonzero(~starts[1:])
     if (rows[order[same]] != rows[order[same + 1]]).any():
         order = np.lexsort(rows.T[::-1])
@@ -162,15 +173,35 @@ class Ensemble:
     def _append_rows(self, states, mult, group) -> None:
         """Append members with fresh ids."""
         n_new = len(mult)
+        ids = np.arange(self.next_id, self.next_id + n_new, dtype=np.uint64)
+        self.next_id += n_new
+        self._insert_rows([self.size], [n_new], states, mult, group, ids)
+
+    def _insert_rows(self, ends, sizes, states, mult, group, ids) -> None:
+        """Insert members in blocks, the ``sizes[b]`` members of block b before the
+        current member ``ends[b]`` (``ends`` non-decreasing); ids are the caller's."""
         new = {
             "states": states,
-            "mult": np.array(mult, dtype=np.int64),
-            "group": np.array(group, dtype=np.int64),
-            "ids": np.arange(self.next_id, self.next_id + n_new, dtype=np.uint64),
+            "mult": np.asarray(mult, dtype=np.int64),
+            "group": np.asarray(group, dtype=np.int64),
+            "ids": np.asarray(ids, dtype=np.uint64),
         }
-        self.next_id += n_new
+        cuts, first = [], 0  # (current member it goes before, first and end new member) of each nonempty block
+        for end, size in zip(ends, sizes):
+            if size:
+                cuts.append((end, first, first + size))
+                first += size
         for name in self._FIELDS:
-            setattr(self, name, np.concatenate([getattr(self, name), new[name]]))
+            old, add = getattr(self, name), new[name]
+            if len(cuts) == 1 and cuts[0][0] == len(old):  # all at the end
+                setattr(self, name, np.concatenate([old, add]))
+                continue
+            pieces, start = [], 0
+            for end, lo, hi in cuts:
+                pieces += [old[start:end], add[lo:hi]]
+                start = end
+            pieces.append(old[start:])
+            setattr(self, name, np.concatenate(pieces))
 
     # -- inspection ---------------------------------------------------------
 

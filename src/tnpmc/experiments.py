@@ -14,7 +14,9 @@ from .ensemble import Ensemble, largest_remainder
 from .errors import CutoffLeakage, InvalidParameter
 from .exact import OperatorTrajectory, TimeGrid
 from .linops import hermitian_eig, split_hermitian, split_positive
-from .model import SourceTerm, TimeScalar, TnpModel, heisenberg_qubit, pauli_ops, tilted_lindbladian
+from .model import (
+    SourceTerm, TimeScalar, TnpModel, heisenberg_qubit, matrix_from_json, pauli_ops, tilted_lindbladian,
+)
 from .rng import stream_key
 
 BOOTSTRAP_RESAMPLES = 200
@@ -328,7 +330,9 @@ class HeisenbergConfig:
                     raise InvalidParameter(f"unknown observable {name!r}")
                 out.append((name, named[name]))
             else:
-                x = np.asarray(name, dtype=complex)
+                # a real matrix, or the config schema's nested [re, im] pairs
+                x = np.asarray(name)
+                x = matrix_from_json(x) if x.ndim == 3 else x.astype(complex)
                 if x.shape != (2, 2):
                     raise InvalidParameter(f"custom observable must be a 2x2 matrix, got shape {x.shape}")
                 out.append((f"custom_{position}", x))
@@ -405,7 +409,8 @@ def run_heisenberg(cfg: HeisenbergConfig) -> HeisenbergResult:
     """Unravel the observable evolution via weighted positive components.
 
     Each observable is split into positive parts, every part is evolved as its
-    own ensemble, and the estimate is recombined with the split weights. The
+    own ensemble (all of them lanes of one engine run, which share the model),
+    and the estimate is recombined with the split weights. The
     pairing expectation uses the Schroedinger initial state as the recorded
     observable of each run; tr X(t) comes from the count ratios.
     """
@@ -423,10 +428,9 @@ def run_heisenberg(cfg: HeisenbergConfig) -> HeisenbergResult:
 
     observables = cfg.observable_matrices()
     exact_values = exact.integrate(model, np.stack([x0 for _, x0 in observables]), grid).values[rec_idx]
-    series: dict[str, ObservableSeries] = {}
-    trace_first = None
-    distinct = np.zeros(rec_idx.size, dtype=np.int64)
-    comp_counter = 0
+    # the positive parts of every observable, as lanes of one run
+    parts: list[tuple[int, float]] = []  # (observable, split weight) of each lane
+    ensembles = []
     for k, (name, x0) in enumerate(observables):
         xh, xa = split_hermitian(x0)
         if float(np.abs(xa).max()) > 1e-12:
@@ -437,27 +441,29 @@ def run_heisenberg(cfg: HeisenbergConfig) -> HeisenbergResult:
             components.append((mu_p, rho_p))
         if rho_m is not None:
             components.append((-mu_m, rho_m))
-        est_parts = []
-        trace_parts = []
         for coef, comp in components:
             eig = hermitian_eig(comp)
             decomposition = [
                 (float(w), eig.vectors[:, i]) for i, w in enumerate(eig.values) if w > 1e-12
             ]
-            ens = Ensemble.sample_initial(
+            ensembles.append(Ensemble.sample_initial(
                 decomposition,
                 cfg.n_trajectories,
-                seed=stream_key(cfg.seed, 0x4E15, comp_counter)[0],
+                seed=stream_key(cfg.seed, 0x4E15, len(ensembles))[0],
                 n_groups=cfg.n_groups,
-            )
-            comp_counter += 1
-            res = runner(
-                model,
-                ens,
-                grid,
-                record_every=cfg.record_every,
-                observables={"pairing": rho_s},
-            )
+            ))
+            parts.append((k, coef))
+    results = runner(model, ensembles, grid, record_every=cfg.record_every, observables={"pairing": rho_s})
+
+    series: dict[str, ObservableSeries] = {}
+    trace_first = None
+    distinct = np.zeros(rec_idx.size, dtype=np.int64)
+    for k, (name, _) in enumerate(observables):
+        est_parts = []
+        trace_parts = []
+        for (owner, coef), res in zip(parts, results):
+            if owner != k:
+                continue
             est_parts.append((coef, res.group_observables["pairing"]))
             trace_parts.append((coef, res.group_counts / res.n_ref))
             distinct += res.distinct_counts

@@ -12,12 +12,9 @@ current state (:meth:`McwfScheme.reverse_entries`).
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from . import engine
-from .ensemble import Ensemble
 from .errors import NoSourceState, ZeroNorm
 from .exact import TimeGrid
 # hermitian_eig is unused here, but bench/tracer.py wraps mcwf.hermitian_eig by name
@@ -45,6 +42,7 @@ def step_context(model: TnpModel, t: float, dt: float) -> dict:
         "ops": model._ops,
         "rates": rates,
         "gdiff": gdiff,
+        "negative_tol": 0.0,  # jump bins below this are negative; the rate-operator scheme sets its own
     }
 
 
@@ -65,8 +63,6 @@ class McwfScheme:
     ``x_values`` <Gamma_L - Gamma> per row; ``jump_target`` the state after
     jump ``b`` of row ``i``; ``reverse_entries`` the reverse-jump exits.
     """
-
-    negative_tol = 0.0
 
     def prepare(self, model: TnpModel, t: float, dt: float) -> dict:
         return step_context(model, t, dt)
@@ -120,28 +116,7 @@ class McwfScheme:
         return entries
 
 
-def run(
-    model: TnpModel,
-    ensemble: Ensemble,
-    grid: TimeGrid,
-    *,
-    reverse_jumps: bool = False,
-    record_every: int = 1,
-    merge: Optional[bool] = None,
-    observables: Optional[dict[str, np.ndarray]] = None,
-    jump_mass_limit: float = engine.JUMP_MASS_LIMIT,
-    record_distinct: bool = True,
-) -> engine.RunResult:
-    """Advance an ensemble over the grid, recording count-weighted averages."""
-    return engine.run(
-        model,
-        ensemble,
-        grid,
-        McwfScheme(),
-        reverse_jumps=reverse_jumps,
-        record_every=record_every,
-        merge=merge,
-        observables=observables,
-        jump_mass_limit=jump_mass_limit,
-        record_distinct=record_distinct,
-    )
+def run(model: TnpModel, ensembles, grid: TimeGrid, **options):
+    """Advance one ensemble, or several sharing the model and grid, with the MCWF
+    scheme; the options and results are those of :func:`tnpmc.engine.run`."""
+    return engine.run(model, ensembles, grid, McwfScheme(), **options)

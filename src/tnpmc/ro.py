@@ -19,7 +19,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import engine
-from .ensemble import Ensemble
 from .errors import NoSourceState
 from .exact import TimeGrid
 from .linops import phase_fix
@@ -54,14 +53,13 @@ class RoStrategy:
 class RoScheme:
     """Batched rate-operator stepping for the shared engine."""
 
-    negative_tol = NEG_BRANCH_TOL  # in probability units; lambda tolerance scaled by dt below
-
     def __init__(self, strategy: Optional[RoStrategy] = None):
         self.strategy = strategy or RoStrategy.zero()
 
     def prepare(self, model: TnpModel, t: float, dt: float) -> dict:
-        self.negative_tol = NEG_BRANCH_TOL * dt
-        return step_context(model, t, dt)
+        ctx = step_context(model, t, dt)
+        ctx["negative_tol"] = NEG_BRANCH_TOL * dt  # the eigenvalue tolerance in probability units
+        return ctx
 
     def _rate_operators(self, ctx: dict, states: np.ndarray) -> np.ndarray:
         n, d = states.shape
@@ -122,29 +120,6 @@ class RoScheme:
         return entries
 
 
-def run(
-    model: TnpModel,
-    ensemble: Ensemble,
-    grid: TimeGrid,
-    *,
-    strategy: Optional[RoStrategy] = None,
-    reverse_jumps: bool = False,
-    record_every: int = 1,
-    merge: Optional[bool] = None,
-    observables: Optional[dict[str, np.ndarray]] = None,
-    jump_mass_limit: float = engine.JUMP_MASS_LIMIT,
-    record_distinct: bool = True,
-) -> engine.RunResult:
+def run(model: TnpModel, ensembles, grid: TimeGrid, *, strategy: Optional[RoStrategy] = None, **options):
     """Rate-operator counterpart of :func:`tnpmc.mcwf.run`."""
-    return engine.run(
-        model,
-        ensemble,
-        grid,
-        RoScheme(strategy),
-        reverse_jumps=reverse_jumps,
-        record_every=record_every,
-        merge=merge,
-        observables=observables,
-        jump_mass_limit=jump_mass_limit,
-        record_distinct=record_distinct,
-    )
+    return engine.run(model, ensembles, grid, RoScheme(strategy), **options)

@@ -57,3 +57,36 @@ def test_tracer_installs_and_uninstalls_over_the_package(monkeypatch):
     for owner, attr, original in patched:
         current = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
         assert current is original, f"{owner!r}.{attr} still wrapped"
+
+
+def test_a_traced_run_of_three_lanes_counts_one_step_per_time_step(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracer
+    import workloads
+
+    tn = workloads.import_tnpmc()
+    p = tn.model.pauli_ops()
+    model = tn.model.TnpModel(dim=2, hamiltonian=0.5 * p.x, channels=(tn.model.JumpChannel(1.0, p.minus),),
+                              gamma=np.eye(2, dtype=complex))
+    ket1 = np.array([0.0, 1.0], dtype=complex)
+    plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
+    lanes = [tn.ensemble.Ensemble.sample_initial([(1.0, ket1)], 80, seed=1, n_groups=4),
+             tn.ensemble.Ensemble.sample_initial([(1.0, plus)], 1, seed=2),
+             tn.ensemble.Ensemble.sample_initial([(0.5, ket1), (0.5, plus)], 40, seed=3, n_groups=2)]
+    grid = tn.exact.TimeGrid(0.0, 0.1, 1e-2)
+    t = tracer.Tracer()
+    try:
+        t.install(tn)
+        results = tn.mcwf.run(model, lanes, grid)
+        metrics = t.collect()
+    finally:
+        t.uninstall()
+    assert len(results) == 3
+    # one engine step per time step advances every lane
+    assert metrics["engine.steps"] == grid.n_steps
+    objects = metrics["ensemble.objects_per_step"] * metrics["engine.steps"]
+    assert metrics["rng.uniform_lanes"] == round(objects) > 0
+    # one step stream per lane and step; the model has no source
+    assert metrics["rng.generator_calls"] == 3 * metrics["engine.steps"]
+    appended = sum(res.final_ensemble.next_id - ens.next_id for res, ens in zip(results, lanes))
+    assert metrics["engine.spawned_rows"] == appended > 0

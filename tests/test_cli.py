@@ -226,3 +226,19 @@ def test_heisenberg_command_names_custom_observables(tmp_path):
     assert header == ["t", "x_est", "custom_1_est", "custom_2_est", "x_exact", "custom_1_exact", "custom_2_exact",
                       "trace_est", "trace_exact", "distinct_states"]
     assert all(row[5] == row[6] for row in rows)  # the same observable, each from its own ensembles
+
+
+def test_heisenberg_command_takes_a_complex_custom_observable(tmp_path):
+    # sigma_y as [re, im] pairs, the matrix form of the config schema, equals the builtin sigma_y
+    sigma_y = [[[0.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [0.0, 0.0]]]
+    base = {"command": "heisenberg", "n_trajectories": 100, "t_final": 0.02, "record_every": 10, "n_groups": 2,
+            "seed": 4}
+    tables = []
+    for observables in (["sigma_y"], [sigma_y]):
+        out = tmp_path / f"out{len(tables)}"
+        cfg = dict(base, observables=observables)
+        assert main(["--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+        tables.append(read_csv(out / "results.csv"))
+    (_, builtin_header, builtin_rows), (_, custom_header, custom_rows) = tables
+    assert builtin_header[1:3] == ["y_est", "y_exact"] and custom_header[1:3] == ["custom_0_est", "custom_0_exact"]
+    assert custom_rows == builtin_rows

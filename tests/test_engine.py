@@ -67,7 +67,7 @@ def test_one_step_reaches_every_branch_and_keeps_the_ledger():
         step_key = stream_key(seed, STEP_STREAM_TAG)
         u = batched_uniform_words(ens.mult, make_generator(*step_key, ens.steps))[0]
         work = ens.copy()
-        counts = _advance_step(model, work, McwfScheme(), 0.0, DT, True, step_key)
+        counts = _advance_step(model, work, McwfScheme(), 0.0, DT, True, engine._Lanes([work]))
         assert counts.shape == (ens.size, n_jump + 3)
         assert np.array_equal(counts.sum(axis=1), ens.mult)
         gdiff = model.gamma_at(0.0) - model.gamma_L(0.0)
@@ -136,12 +136,14 @@ def test_count_ledger_catches_a_lost_row(monkeypatch, where):
     ens = Ensemble.sample_initial([(1.0, PLUS)], 200, seed=7)
     grid = TimeGrid(0.0, 0.2, DT)
     assert mcwf.run(model, ens, grid).final_ensemble.next_id > ens.next_id  # rows were appended
-    append = Ensemble._append_rows
+    insert = Ensemble._insert_rows
 
-    def drop_first_row(self, states, mult, group):
-        append(self, states[1:], mult[1:], group[1:])
+    def drop_first_row(self, ends, sizes, states, mult, group, ids):
+        sizes = list(sizes)
+        sizes[next(b for b, size in enumerate(sizes) if size)] -= 1
+        insert(self, ends, sizes, states[1:], mult[1:], group[1:], ids[1:])
 
-    monkeypatch.setattr(Ensemble, "_append_rows", drop_first_row)
+    monkeypatch.setattr(Ensemble, "_insert_rows", drop_first_row)
     with pytest.raises(CountLedgerError, match=f"by the {where} at step \\d+, t = .*total count \\d+, expected"):
         mcwf.run(model, ens, grid)
 

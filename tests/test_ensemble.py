@@ -84,6 +84,26 @@ def test_merge_groups_rows_as_the_lexicographic_sort_does(monkeypatch, collide):
         assert ens.distinct_state_count() == _run_starts(canonical_key_rows(ens.states))[1].sum()
 
 
+@pytest.mark.parametrize("high_bits", ["distinct", "shared"])
+def test_run_starts_order_is_the_stable_hash_order(monkeypatch, high_bits):
+    # the order is a stable sort of the row hashes, also when different hashes
+    # share their high bits (here: a hash that is the row's one small entry)
+    rng = np.random.default_rng(23)
+    if high_bits == "shared":
+        monkeypatch.setattr(ensemble, "_key_mix", lambda width: np.ones(width, dtype=np.int64))
+        cases = [rng.integers(0, 50, size=(n, 1)) for n in (300, 8)]
+    else:
+        cases = []
+        for d, n in ((2, 300), (2, 8), (20, 200)):
+            ens = _duplicated_members(rng, d, n, n_groups=3)
+            cases.append(np.concatenate([ens.group[:, None], canonical_key_rows(ens.states)], axis=1))
+    for rows in cases:
+        order, starts = _run_starts(rows)
+        h = rows @ ensemble._key_mix(rows.shape[1])
+        assert np.array_equal(order, np.argsort(h, kind="stable"))
+        assert np.array_equal(starts[1:], h[order][1:] != h[order][:-1])
+
+
 def test_merge_duplicates_sums_counts():
     ens = Ensemble.empty(2, n_ref=10, seed=0)
     ens._append_members([(KET0, 3, 0), (KET0, 4, 0), (KET1, 1, 0)])
@@ -225,3 +245,19 @@ def test_run_reproducibility_and_average_invariance():
     # merging at the end must not change the average
     fin = r1.final_ensemble
     assert np.abs(fin.merge_duplicates().average_state() - fin.average_state()).max() <= 1e-10
+
+
+def test_insert_rows_places_members_as_np_insert_does():
+    rng = np.random.default_rng(3)
+    ens = Ensemble.empty(2, n_ref=10, seed=1, n_groups=3)
+    ens._append_rows(rng.normal(size=(5, 2)) + 0j, [1, 2, 3, 4, 5], [0, 1, 2, 0, 1])
+    ends, sizes = [0, 3, 3, 5], [2, 1, 0, 2]  # blocks of new members, one of them empty
+    at = np.repeat(ends, sizes)
+    new = {"states": rng.normal(size=(5, 2)) + 1j, "mult": [6, 7, 8, 9, 10], "group": [2, 2, 1, 0, 0],
+           "ids": [20, 21, 22, 23, 24]}
+    expected = {name: np.insert(getattr(ens, name), at, np.asarray(new[name], dtype=getattr(ens, name).dtype), axis=0)
+                for name in Ensemble._FIELDS}
+    ens._insert_rows(ends, sizes, new["states"], new["mult"], new["group"], new["ids"])
+    for name in Ensemble._FIELDS:
+        assert getattr(ens, name).dtype == expected[name].dtype
+        assert np.array_equal(getattr(ens, name), expected[name]), name

@@ -13,11 +13,10 @@ from tnpmc import (
     mcwf,
     pauli_ops,
 )
-from tnpmc.engine import SOURCE_STREAM_TAG, _apply_source
+from tnpmc.engine import _Lanes, _apply_source
 from tnpmc.errors import NegativeProbability, NegativeSource, StepTooLarge, ZeroNorm
 from tnpmc.mcwf import McwfScheme
 from tnpmc.model import SourceTerm
-from tnpmc.rng import stream_key
 
 from helpers import (
     StepTable,
@@ -188,9 +187,8 @@ def test_advance_trajectory_reverse_jump():
 
 
 def test_source_creation_events():
-    src_key = stream_key(3, SOURCE_STREAM_TAG, 0)
     ens = Ensemble.empty(2, n_ref=100, seed=3)
-    _apply_source(ens, src_key, hermitian_eig(np.zeros((2, 2))), 0.0, 0.01)
+    _apply_source(ens, _Lanes([ens]), hermitian_eig(np.zeros((2, 2))), 0.0, 0.01)
     assert ens.size == 0
     spectrum = hermitian_eig(np.outer(KET0, KET0.conj()))
     # eta * n_ref * dt = 3 copies per step, drawn on the stream of the step count
@@ -199,13 +197,13 @@ def test_source_creation_events():
     for step in range(n_draws):
         ens = Ensemble.empty(2, n_ref=100, seed=3)
         ens.steps = step
-        _apply_source(ens, src_key, spectrum, 0.0, 0.03)
+        _apply_source(ens, _Lanes([ens]), spectrum, 0.0, 0.03)
         total += ens.total_count()
         if ens.size:
             assert ens.size == 1 and np.allclose(np.abs(ens.states[0]), np.abs(KET0))
     assert abs(total / n_draws - 3.0) <= 0.06
     with pytest.raises(NegativeSource):
-        _apply_source(ens, src_key, hermitian_eig(-1e-3 * np.eye(2)), 0.0, 0.01)
+        _apply_source(ens, _Lanes([ens]), hermitian_eig(-1e-3 * np.eye(2)), 0.0, 0.01)
 
 
 def test_negative_source_names_the_failing_step():

@@ -11,10 +11,10 @@ source creations included, are applied at the end-of-step barrier in object
 order, so results are bit-identical given ``(config, seed)``, and the count
 ledger is checked after every change.
 
-Several ensembles that share the model and grid can advance as lanes of one
-run: the model is evaluated once per step for all of them, and each lane
-keeps its own rows, streams and counters, so its result is byte-identical to
-a run of that ensemble alone.
+Several ensembles that share the grid can advance as lanes of one run, under
+one shared model, which is evaluated once per step for all of them, or under
+one model per lane. Each lane keeps its own rows, streams and counters, so
+its result is byte-identical to a run of that ensemble alone.
 """
 
 from __future__ import annotations
@@ -68,12 +68,18 @@ def _void_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def _build_snapshot(states: np.ndarray, mult: np.ndarray):
+    """State classes of the rows by canonical key, in lexicographic key order:
+    their keys, first rows, summed counts, and the class of every row."""
     rows = canonical_key_rows(states)
-    keys = _void_rows(rows)
-    uniq_keys, first_idx, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    counts = np.zeros(uniq_keys.shape[0], dtype=np.int64)
-    np.add.at(counts, inverse, mult)
-    return uniq_keys, states[first_idx], counts, inverse
+    order = np.lexsort(rows.T[::-1])  # stable, so each class starts at its first row
+    ordered = rows[order]
+    starts = np.ones(rows.shape[0], dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    first = order[starts]
+    inverse = np.empty(rows.shape[0], dtype=np.int64)
+    inverse[order] = np.cumsum(starts) - 1
+    counts = np.add.reduceat(mult[order], np.flatnonzero(starts))
+    return _void_rows(rows[first]), states[first], counts, inverse
 
 
 def _match_keys(uniq_keys: np.ndarray, candidate_states: np.ndarray) -> np.ndarray:
@@ -87,7 +93,7 @@ def _match_keys(uniq_keys: np.ndarray, candidate_states: np.ndarray) -> np.ndarr
 
 
 def run(
-    model: TnpModel,
+    model: Union[TnpModel, Sequence[TnpModel]],
     ensembles: Union[Ensemble, Sequence[Ensemble]],
     grid: TimeGrid,
     scheme,
@@ -102,11 +108,12 @@ def run(
     """Advance an ensemble over the grid, recording count-weighted averages.
 
     ``ensembles`` is one Ensemble, which gives one RunResult, or a sequence of
-    ensembles that share the model and grid ("lanes"), which gives one
-    RunResult per ensemble. The lanes advance in one time loop, and each
-    result is byte-identical to a separate run of its ensemble.
+    ensembles ("lanes"), which gives one RunResult per ensemble. ``model`` is
+    one model shared by every lane, or a sequence of one model per lane. The
+    lanes advance in one time loop, and each result is byte-identical to a
+    separate run of its ensemble under its model.
     """
-    lanes = _Lanes([ensembles] if isinstance(ensembles, Ensemble) else list(ensembles))
+    lanes = _Lanes([ensembles] if isinstance(ensembles, Ensemble) else list(ensembles), model)
     for e in lanes.inputs:
         if abs(e.time - grid.t0) > 1e-9:
             raise InvalidParameter(f"ensemble time {e.time} != grid start {grid.t0}")
@@ -120,31 +127,34 @@ def run(
 
     ens = lanes.join()
     dt = grid.dt
-    series = [_Series(observables, record_distinct) for _ in range(lanes.n)]
+    n_rec = grid.n_steps // record_every + 1
+    series = [_Series(e, n_rec, observables, record_distinct) for e in lanes.inputs]
+    has_source = any(m.source is not None for m in lanes.models)
+    shared = isinstance(lanes.model, TnpModel)
 
     def record():
-        bounds = lanes.bounds(ens)
-        for lane, s in enumerate(series):
-            s.record(lanes.view(ens, lane, bounds))
+        for s, lane in zip(series, lanes.views(ens)):
+            s.record(lane)
 
     record()
     for step in range(grid.n_steps):
         t = grid.time_at(step)
-        _advance_step(model, ens, scheme, t, dt, reverse_jumps, lanes, jump_mass_limit)
-        if step % SOURCE_BLOCK == 0:
-            spectra = _source_spectra(model, grid, step)
-        if spectra is not None:
-            _apply_source(ens, lanes, spectra[step % SOURCE_BLOCK], t, dt)
+        _advance_step(lanes.model, ens, scheme, t, dt, reverse_jumps, lanes, jump_mass_limit)
+        if has_source:
+            k = step % SOURCE_BLOCK
+            if k == 0:  # the source spectra of a block of steps: of the shared model, or of each lane's
+                spectra = [_source_spectra(m, grid, step) for m in lanes.models]
+            eig = spectra[0][k] if shared else [None if s is None else s[k] for s in spectra]
+            _apply_source(ens, lanes, eig, t, dt)
         ens.steps += 1
-        lanes.steps += 1
+        lanes.steps = [s + 1 for s in lanes.steps]
         if merge:
             ens._merge_in_place()
         ens.time = grid.time_at(step + 1)
         if (step + 1) % record_every == 0:
             record()
 
-    bounds = lanes.bounds(ens)
-    results = [s.result(lanes.view(ens, lane, bounds)) for lane, s in enumerate(series)]
+    results = [s.result(lane) for s, lane in zip(series, lanes.views(ens))]
     return results[0] if isinstance(ensembles, Ensemble) else results
 
 
@@ -156,17 +166,30 @@ class _Lanes:
     and groups. Group ids are offset per lane, so one merge of the working
     ensemble never joins rows of two lanes, and new rows go to the end of
     their lane. A run of one ensemble works on a plain copy of it.
+
+    ``model`` is the model every lane shares (its step context is prepared
+    once per step), or one model per lane; ``models`` lists the distinct
+    models in lane order: the shared one, or one per lane.
     """
 
-    def __init__(self, ensembles: list[Ensemble]):
+    def __init__(self, ensembles: list[Ensemble], model=None):
         if not ensembles:
             raise InvalidParameter("no ensemble to run")
-        if len({e.dim for e in ensembles}) > 1:
-            raise InvalidParameter(f"ensembles of one run need one dimension, got {[e.dim for e in ensembles]}")
-        self.inputs = ensembles
         self.n = len(ensembles)
+        if model is None or isinstance(model, TnpModel):
+            self.model = model
+        else:
+            model = list(model)
+            if len(model) != self.n:
+                raise InvalidParameter(f"{len(model)} models for {self.n} ensembles; give one, or one per ensemble")
+            self.model = model[0] if all(m is model[0] for m in model) else model
+        self.models = [self.model] if isinstance(self.model, TnpModel) else list(self.model or ())
+        dims = [e.dim for e in ensembles] + [m.dim for m in self.models]
+        if len(set(dims)) > 1:
+            raise InvalidParameter(f"ensembles and models of one run need one dimension, got {dims}")
+        self.inputs = ensembles
         self.goff = np.cumsum([0] + [e.n_groups for e in ensembles])
-        self.steps = np.array([e.steps for e in ensembles], dtype=np.int64)
+        self.steps = [e.steps for e in ensembles]
         self.next_id = [e.next_id for e in ensembles]
         self.step_keys = [stream_key(e.seed, STEP_STREAM_TAG) for e in ensembles]
         self.src_keys = [stream_key(e.seed, SOURCE_STREAM_TAG, 0) for e in ensembles]
@@ -191,24 +214,28 @@ class _Lanes:
         lane = np.searchsorted(self.goff[1:-1], ens.group, side="right")
         return [0] + np.cumsum(np.bincount(lane, minlength=self.n)).tolist()
 
-    def view(self, ens: Ensemble, lane: int, bounds: list[int]) -> Ensemble:
-        """The rows and counters of one lane as an ensemble of its own."""
+    def views(self, ens: Ensemble) -> list[Ensemble]:
+        """The rows and counters of each lane as an ensemble of its own; a run of
+        one ensemble records straight from its working copy."""
         if self.n == 1:
-            return ens
-        e = self.inputs[lane]
-        rows = slice(bounds[lane], bounds[lane + 1])
-        out = Ensemble(e.dim, e.n_ref, e.seed, ens.time, e.n_groups)
-        out.states, out.mult, out.ids = ens.states[rows], ens.mult[rows], ens.ids[rows]
-        out.group = ens.group[rows] - self.goff[lane]
-        out.next_id, out.steps = self.next_id[lane], int(self.steps[lane])
+            return [ens]
+        bounds = self.bounds(ens)
+        out = []
+        for lane, e in enumerate(self.inputs):
+            rows = slice(bounds[lane], bounds[lane + 1])
+            view = Ensemble(e.dim, e.n_ref, e.seed, ens.time, e.n_groups)
+            view.states, view.mult, view.ids = ens.states[rows], ens.mult[rows], ens.ids[rows]
+            view.group = ens.group[rows] - self.goff[lane]
+            view.next_id, view.steps = self.next_id[lane], self.steps[lane]
+            out.append(view)
         return out
 
     def locate(self, i: int, bounds: list[int]) -> tuple[str, int]:
         """How guard errors name row i, and the step counter of its lane."""
         if self.n == 1:
-            return f"object {i}", int(self.steps[0])
+            return f"object {i}", self.steps[0]
         lane = int(np.searchsorted(bounds, i, side="right")) - 1
-        return f"lane {lane} object {i - bounds[lane]}", int(self.steps[lane])
+        return f"lane {lane} object {i - bounds[lane]}", self.steps[lane]
 
     def append(self, ens: Ensemble, bounds: list[int], sizes: list[int], states, mult, group) -> None:
         """Put new rows at the end of their lanes with fresh ids of their lane: the
@@ -220,32 +247,40 @@ class _Lanes:
 
 
 class _Series:
-    """The time series one lane records."""
+    """The time series one lane records, written into arrays sized for the whole run."""
 
-    def __init__(self, observables: dict[str, np.ndarray], record_distinct: bool):
+    def __init__(self, ens: Ensemble, n_rec: int, observables: dict[str, np.ndarray], record_distinct: bool):
         self.observables, self.record_distinct = observables, record_distinct
-        self.times, self.avg, self.trace, self.total, self.distinct, self.gcounts = [], [], [], [], [], []
-        self.gobs = {name: [] for name in observables}
+        self.n = 0  # records written
+        self.times = np.empty(n_rec)
+        self.avg = np.empty((n_rec, ens.dim, ens.dim), dtype=complex)
+        self.trace = np.empty(n_rec)
+        self.total = np.empty(n_rec, dtype=np.int64)
+        self.distinct = np.empty(n_rec, dtype=np.int64)
+        self.gcounts = np.empty((n_rec, ens.n_groups), dtype=np.int64)
+        self.gobs = {name: np.empty((n_rec, ens.n_groups)) for name in observables}
 
     def record(self, ens: Ensemble) -> None:
-        self.times.append(ens.time)
-        self.avg.append(ens.average_state())
-        self.trace.append(ens.trace_estimate())
-        self.total.append(ens.total_count())
-        self.distinct.append(ens.distinct_state_count() if self.record_distinct else 0)
-        self.gcounts.append(ens.group_counts())
+        r = self.n
+        self.times[r] = ens.time
+        self.avg[r] = ens.average_state()
+        self.trace[r] = ens.trace_estimate()
+        self.total[r] = ens.total_count()
+        self.distinct[r] = ens.distinct_state_count() if self.record_distinct else 0
+        self.gcounts[r] = ens.group_counts()
         for name, op in self.observables.items():
-            self.gobs[name].append(ens.group_observable_sums(op) / ens.n_ref)
+            self.gobs[name][r] = ens.group_observable_sums(op) / ens.n_ref
+        self.n += 1
 
     def result(self, ens: Ensemble) -> RunResult:
         return RunResult(
-            times=np.array(self.times),
-            average_states=np.array(self.avg) if self.avg else np.zeros((0, ens.dim, ens.dim)),
-            trace_estimates=np.array(self.trace),
-            total_counts=np.array(self.total, dtype=np.int64),
-            distinct_counts=np.array(self.distinct, dtype=np.int64),
-            group_counts=np.array(self.gcounts, dtype=np.int64),
-            group_observables={k: np.array(v) for k, v in self.gobs.items()},
+            times=self.times,
+            average_states=self.avg,
+            trace_estimates=self.trace,
+            total_counts=self.total,
+            distinct_counts=self.distinct,
+            group_counts=self.gcounts,
+            group_observables=self.gobs,
             n_ref=ens.n_ref,
             seed=ens.seed,
             n_groups=ens.n_groups,
@@ -256,10 +291,12 @@ class _Series:
 def _advance_step(model, ens, scheme, t, dt, reverse_jumps, lanes, jump_mass_limit=JUMP_MASS_LIMIT):
     """Draw one outcome per realization and apply all of them at the barrier.
 
-    The model is evaluated once for all lanes; the kernels run on each lane's
-    rows. Each lane draws from the stream of its seed at its step counter:
-    four uniforms per object (``batched_uniform_words``), then the
-    multinomial fallbacks in object order.
+    ``model`` is the model every lane shares, which is evaluated once for all
+    of them, or a list of one model per lane. The kernels run on each lane's
+    rows with its lane's step context. Each lane draws from the stream of its
+    seed at its step counter: four uniforms per object
+    (``batched_uniform_words``), then the multinomial fallbacks in object
+    order.
 
     Returns the outcome counts per object, an (n, J + 3) array with columns
     [jumps per channel or branch | reverse jumps | vanish or replicate |
@@ -269,13 +306,17 @@ def _advance_step(model, ens, scheme, t, dt, reverse_jumps, lanes, jump_mass_lim
     n = ens.size
     if n == 0:
         return None
-    ctx = scheme.prepare(model, t, dt)
     states, mult = ens.states, ens.mult
     bounds = lanes.bounds(ens)
     spans = [(lane, lo, hi) for lane, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])) if hi > lo]
     # each lane's context, first row and rows; a kernel may leave per-row data
     # in its context (the rate-operator eigenvectors)
-    blocks = {lane: (ctx if lanes.n == 1 else dict(ctx), lo, states[lo:hi]) for lane, lo, hi in spans}
+    if isinstance(model, TnpModel):
+        shared = scheme.prepare(model, t, dt)
+        blocks = {lane: (shared if lanes.n == 1 else dict(shared), lo, states[lo:hi]) for lane, lo, hi in spans}
+    else:
+        blocks = {lane: (scheme.prepare(model[lane], t, dt), lo, states[lo:hi]) for lane, lo, hi in spans}
+    ctx = blocks[spans[0][0]][0]  # the guard tolerance of the scheme; a run with reverse jumps has one lane
     parts = [
         (scheme.jump_bins(c, rows), scheme.det_states(c, rows), scheme.x_values(c, rows))
         for c, _, rows in blocks.values()
@@ -300,17 +341,22 @@ def _advance_step(model, ens, scheme, t, dt, reverse_jumps, lanes, jump_mass_lim
     REV, DC, DET = n_jump, n_jump + 1, n_jump + 2
 
     # reverse-jump exits are shared by all objects of one snapshot state class:
-    # per-realization probabilities and the snapshot rows they jump back to
+    # per-realization probabilities and the snapshot rows they jump back to,
+    # in the order the scheme lists them
     exits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     obj_class = np.full(n, -1, dtype=np.int64)
     rev_total = np.zeros(n)
     if reverse_jumps and neg_mask.any():
         uniq_keys, sources, uniq_counts, obj_class = _build_snapshot(states, mult)
         class_total = np.zeros(uniq_counts.shape[0])
-        entries = scheme.reverse_entries(ctx, uniq_keys, sources, uniq_counts, _match_keys)
-        for host, host_exits in entries.items():
-            probs = np.array([w for (w, _, _) in host_exits]) / float(uniq_counts[host])
-            exits[host] = (probs, np.array([v for (_, v, _) in host_exits], dtype=np.int64))
+        hosts, weights, targets = scheme.reverse_entries(ctx, uniq_keys, sources, uniq_counts, _match_keys)
+        order = np.argsort(hosts, kind="stable")
+        hosts, weights, targets = hosts[order], weights[order], targets[order]
+        firsts = np.flatnonzero(np.diff(hosts, prepend=-1)).tolist()
+        for lo, hi in zip(firsts, firsts[1:] + [hosts.size]):
+            host = int(hosts[lo])
+            probs = weights[lo:hi] / float(uniq_counts[host])
+            exits[host] = (probs, targets[lo:hi])
             class_total[host] = probs.sum()
         rev_total = class_total[obj_class]
 
@@ -407,31 +453,33 @@ def _advance_step(model, ens, scheme, t, dt, reverse_jumps, lanes, jump_mass_lim
             for s in sel[idx == REV]:
                 pick_exit(rows[s], u[rows[s]], acc[s, REV - 1], total[s])
 
-    # -- apply outcomes at the barrier; new objects are spawned in object order
+    # -- apply outcomes at the barrier. New rows go to the end of their lane,
+    # by parent, then jump branch, then reverse exit, then replication
     replicated = np.where(pd > 0.0, 0, counts[:, DC])
-    spawning = np.flatnonzero((counts[:, :DET] > 0).any(axis=1))
-    cut = np.searchsorted(spawning, bounds).tolist()
-    spawns: list[tuple[int, np.ndarray, int]] = []  # (parent, state, count)
-    sizes = [0] * lanes.n  # spawned rows per lane
+    parent, branch = np.nonzero(counts[:, :REV])
+    targets = np.empty((parent.size, ens.dim), dtype=complex)
+    cut = np.searchsorted(parent, bounds).tolist()
     for lane, (c, lo, rows) in blocks.items():
-        start = len(spawns)
-        for i in spawning[cut[lane] : cut[lane + 1]].tolist():
-            spawns += [(i, scheme.jump_target(c, rows, i - lo, int(b)), counts[i, b])
-                       for b in np.flatnonzero(counts[i, :REV])]
-            if i in rev_counts:
-                targets = exits[int(obj_class[i])][1]
-                spawns += [(i, sources[targets[e]], rev_counts[i][e]) for e in np.flatnonzero(rev_counts[i])]
-            if replicated[i]:
-                # replication: parents continue deterministically, copies split off
-                spawns.append((i, det_states[i], replicated[i]))
-        sizes[lane] = len(spawns) - start
+        if cut[lane + 1] > cut[lane]:
+            jumps = slice(cut[lane], cut[lane + 1])
+            targets[jumps] = scheme.jump_target(c, rows, parent[jumps] - lo, branch[jumps])
+    spawned = [(parent, targets, counts[parent, branch])]  # (parents, states, counts) by kind
+    for i in sorted(rev_counts):
+        hit = np.flatnonzero(rev_counts[i])
+        spawned.append((np.full(hit.size, i), sources[exits[int(obj_class[i])][1][hit]], rev_counts[i][hit]))
+    copied = np.flatnonzero(replicated)  # replication: parents drift on, copies split off
+    spawned.append((copied, det_states[copied], replicated[copied]))
+    spawned = [part for part in spawned if part[0].size]
 
     ens.states = det_states
     ens.mult = counts[:, DET] + replicated
-    if spawns:
-        parents, new_states, new_counts = zip(*spawns)
-        lanes.append(ens, bounds, sizes, np.stack(new_states), [int(c) for c in new_counts],
-                     ens.group[list(parents)])
+    if spawned:
+        parents, new_states, new_counts = (np.concatenate(p) for p in zip(*spawned))
+        if len(spawned) > 1:
+            order = np.argsort(parents, kind="stable")
+            parents, new_states, new_counts = parents[order], new_states[order], new_counts[order]
+        sizes = [parents.size] if lanes.n == 1 else np.diff(np.searchsorted(parents, bounds)).tolist()
+        lanes.append(ens, bounds, sizes, new_states, new_counts, ens.group[parents])
     ens.drop_empty()
     # jumps and reverse jumps move realizations; only the vanish/replicate bin changes the total
     vanished = int(counts[pd > 0.0, DC].sum())
@@ -469,33 +517,39 @@ def _source_spectra(model, grid, first):
     Each source is evaluated at its step's midpoint, which keeps the per-step
     creation quadrature at O(dt^2); the block is eigendecomposed in one call.
     """
-    steps = range(first, min(first + SOURCE_BLOCK, grid.n_steps))
-    sources = [model.source_at(grid.time_at(k) + 0.5 * grid.dt) for k in steps]
-    if sources[0] is None:
+    if model.source is None:
         return None
-    s = np.stack(sources)
-    del sources  # held through the eigendecomposition, its small arrays raised the peak memory
+    s = np.stack([model.source_at(grid.time_at(k) + 0.5 * grid.dt)
+                  for k in range(first, min(first + SOURCE_BLOCK, grid.n_steps))])
     return hermitian_eig(s, tol=1e-8 * np.maximum(1.0, np.abs(s).max(axis=(1, 2))))
 
 
 def _apply_source(ens, lanes, eig, t, dt):
-    """Poisson creations in the eigenstates of the step's source, whose spectrum is ``eig``,
-    drawn per lane and put at the end of the lane."""
-    vals = eig.values
-    if float(vals.min()) < -NEG_SOURCE_TOL:
-        raise NegativeSource(f"source eigenvalue {vals.min():.3e} below -{NEG_SOURCE_TOL} at t = {t:.6g}")
+    """Poisson creations in the eigenstates of the step's source, drawn per lane and
+    put at the end of the lane. ``eig`` is the source spectrum every lane shares,
+    or a list of one per lane, None for a lane without a source."""
+    eigs = eig if isinstance(eig, list) else [eig] * lanes.n
+    for lane, spectrum in enumerate(eigs):
+        if spectrum is not None and float(spectrum.values.min()) < -NEG_SOURCE_TOL:
+            where = f"lane {lane}: " if isinstance(eig, list) and lanes.n > 1 else ""
+            raise NegativeSource(
+                f"{where}source eigenvalue {spectrum.values.min():.3e} below -{NEG_SOURCE_TOL} at t = {t:.6g}"
+            )
     before = int(ens.mult.sum())
-    created = np.flatnonzero(vals > 0.0)
     rows = []  # (state, count, group)
     sizes = [0] * lanes.n  # created rows per lane
-    for lane, e in enumerate(lanes.inputs):
+    for lane, (e, spectrum) in enumerate(zip(lanes.inputs, eigs)):
+        if spectrum is None:
+            continue
+        vals = spectrum.values
+        created = np.flatnonzero(vals > 0.0)
         # keyed by the lane's own step count, which a checkpoint carries across a resume
         gen = make_generator(*lanes.src_keys[lane], lanes.steps[lane])
         copies = gen.poisson(vals[created] * e.n_ref * dt)
         g0 = int(lanes.goff[lane])
         start = len(rows)
         for i, c in zip(created[copies > 0], copies[copies > 0]):
-            state = eig.vectors[:, i]
+            state = spectrum.vectors[:, i]
             if e.n_groups == 1:
                 rows.append((state, int(c), g0))
             else:

@@ -180,23 +180,21 @@ class Ensemble:
     def _insert_rows(self, ends, sizes, states, mult, group, ids) -> None:
         """Insert members in blocks, the ``sizes[b]`` members of block b before the
         current member ``ends[b]`` (``ends`` non-decreasing); ids are the caller's."""
-        new = {
-            "states": states,
-            "mult": np.asarray(mult, dtype=np.int64),
-            "group": np.asarray(group, dtype=np.int64),
-            "ids": np.asarray(ids, dtype=np.uint64),
-        }
+        new = (states, np.asarray(mult, dtype=np.int64), np.asarray(group, dtype=np.int64),
+               np.asarray(ids, dtype=np.uint64))
         cuts, first = [], 0  # (current member it goes before, first and end new member) of each nonempty block
         for end, size in zip(ends, sizes):
             if size:
                 cuts.append((end, first, first + size))
                 first += size
-        for name in self._FIELDS:
-            old, add = getattr(self, name), new[name]
-            if len(cuts) == 1 and cuts[0][0] == len(old):  # all at the end
-                setattr(self, name, np.concatenate([old, add]))
-                continue
-            pieces, start = [], 0
+        if not cuts:
+            return
+        if cuts[0][0] == self.size:  # all at the end
+            for name, add in zip(self._FIELDS, new):
+                setattr(self, name, np.concatenate([getattr(self, name), add]))
+            return
+        for name, add in zip(self._FIELDS, new):
+            old, pieces, start = getattr(self, name), [], 0
             for end, lo, hi in cuts:
                 pieces += [old[start:end], add[lo:hi]]
                 start = end

@@ -23,6 +23,9 @@ BOOTSTRAP_RESAMPLES = 200
 _BOOT_TAG = 0xB00757
 _TOWER_TAG = 0x70EE
 _TILT_TAG = 0x7117
+# photon-counting towers per engine run; every lane holds its average states of
+# two stages, so the chunk, not the tower count, sets the memory of a study
+TOWER_LANES = 4
 
 
 def bootstrap_rng(seed: int, tag: int = _BOOT_TAG) -> np.random.Generator:
@@ -133,6 +136,14 @@ def check_cutoff_leakage(traj: OperatorTrajectory, tol: float) -> float:
     return worst
 
 
+def stage_flux(k: int, rates: np.ndarray, scale_prev: np.ndarray, num_op: np.ndarray,
+               avg_prev: np.ndarray) -> np.ndarray:
+    """Predicted growth rate of the stage-k raw moment at every grid time:
+    k * rate * scale_{k-1} * tr[L^dag L avg_{k-1}], from the previous stage's
+    recorded averages (n_steps + 1, d, d)."""
+    return k * rates * scale_prev * np.einsum("ij,tji->t", num_op, avg_prev).real
+
+
 def run_photon_counting(cfg: PhotonCountingConfig) -> MomentSeries:
     """Stage-by-stage unraveling of the moment hierarchy.
 
@@ -143,19 +154,23 @@ def run_photon_counting(cfg: PhotonCountingConfig) -> MomentSeries:
     integrated magnitude, estimates multiplied back), which keeps realization
     counts of order n per stage even though the raw moments grow rapidly.
     The run is split into independent towers so the bootstrap captures the
-    stage-to-stage coupling.
+    stage-to-stage coupling. Each stage of a chunk of ``TOWER_LANES`` towers
+    is one engine run, its towers the lanes, each under its own staged model.
     """
     grid = TimeGrid(0.0, cfg.t_final, cfg.dt)
     base = tilted_lindbladian(cfg.gamma, cfg.nbar, cfg.Omega, cfg.phi, 0.0, cfg.n_max)
     psi0 = fock_plus_superposition(cfg.n_max)
     rho0 = np.outer(psi0, psi0.conj())
 
-    exact_rho = exact.integrate(base, rho0, grid)
-    check_cutoff_leakage(exact_rho, cfg.leakage_tol)
     hier = exact.solve_hierarchy(base, 0, cfg.k_max, rho0, grid)
+    check_cutoff_leakage(hier.trajectories[0], cfg.leakage_tol)
+    exact_moments = hier.moments
+    del hier  # the k_max + 1 operator trajectories are not needed by the stage runs
 
     counting_op = base.channels[0].op
     counting_rate = base.channels[0].rate
+    counting_dag = counting_op.conj().T
+    eye = np.eye(base.dim)
 
     tower_sizes = largest_remainder(np.ones(cfg.n_towers), cfg.n_trajectories)
     n_steps = grid.n_steps
@@ -165,76 +180,69 @@ def run_photon_counting(cfg: PhotonCountingConfig) -> MomentSeries:
     def rate_at(t: float) -> float:
         return counting_rate(t) if callable(counting_rate) else float(counting_rate)
 
-    ts = grid.times()
     dt = grid.dt
-    num_op = counting_op.conj().T @ counting_op
+    rates = np.array([rate_at(t) for t in grid.times()])
+    num_op = counting_dag @ counting_op
     c_ramp_max = 20.0  # gauge disappearance rate cap; p_d per step stays <= c * dt
 
     def time_index(t: float) -> int:
         return min(int(round((t - grid.t0) / dt)), n_steps)
 
-    for g in range(cfg.n_towers):
-        n_g = int(tower_sizes[g])
-        if n_g == 0:
-            continue
-        seed_g = stream_key(cfg.seed, _TOWER_TAG, g * 64)[0]
-        ens0 = Ensemble.sample_initial([(1.0, psi0)], n_g, seed=seed_g)
-        res = mcwf.run(base, ens0, grid, record_every=1,
-                       jump_mass_limit=cfg.jump_mass_limit, record_distinct=False)
-        avg_prev = OperatorTrajectory(grid, res.average_states)
-        scale_prev = np.ones(n_steps + 1)
+    def staged_model(k: int, avg_prev: np.ndarray, scale_prev: np.ndarray) -> tuple[TnpModel, np.ndarray]:
+        """Stage k of one tower, fed by its stage k - 1, and its moment scale."""
+        # predicted raw-moment growth from the previous stage's average
+        flux = stage_flux(k, rates, scale_prev, num_op, avg_prev)
+        mu_pred = np.concatenate([[0.0], np.cumsum(0.5 * (flux[1:] + flux[:-1]) * dt)])
+        # stage gauge: mostly thinning. Below the floor the counts are a
+        # few-fold amplified relative to a direct run, which keeps the
+        # smallest recorded moments resolvable while their statistical
+        # error still dominates the O(dt) step bias; beyond the floor the
+        # scale tracks the moment so counts stay near n_g. The backward
+        # pass caps the log slope (and hence p_d per step).
+        logs = np.log(np.maximum(mu_pred, 0.3))
+        for i in range(n_steps - 1, -1, -1):
+            logs[i] = max(logs[i], logs[i + 1] - c_ramp_max * dt)
+        scale = np.exp(logs)
+        dl = np.diff(np.log(scale))
+        # survival factor per step is exactly exp(-dl); creations enter at
+        # the end-of-step scale, so converting with `scale` adds no gauge
+        # bias at any order in dt
+        c_steps = (1.0 - np.exp(-dl)) / dt
+        avg = OperatorTrajectory(grid, avg_prev)
+
+        def gauge_gamma(t: float) -> np.ndarray:
+            i = min(time_index(t), n_steps - 1)
+            return base.gamma_L(t) + c_steps[i] * eye
+
+        def source(t: float) -> np.ndarray:
+            # t is a step midpoint; creations are converted at the
+            # end-of-step scale so the gauge stays bias-free
+            i = min(int(np.floor((t - grid.t0) / dt + 1e-9)), n_steps - 1)
+            sp_mid = 0.5 * (scale_prev[i] + scale_prev[i + 1])
+            f = k * sp_mid / scale[i + 1]
+            return f * rate_at(t) * (counting_op @ avg.at(t) @ counting_dag)
+
+        model = TnpModel(dim=base.dim, hamiltonian=base.hamiltonian, channels=base.channels,
+                         gamma=gauge_gamma, source=SourceTerm(source))
+        return model, scale
+
+    towers = [g for g in range(cfg.n_towers) if tower_sizes[g] > 0]
+    options = dict(record_every=1, jump_mass_limit=cfg.jump_mass_limit, record_distinct=False)
+    for first in range(0, len(towers), TOWER_LANES):
+        chunk = towers[first : first + TOWER_LANES]
+        ensembles = [Ensemble.sample_initial([(1.0, psi0)], int(tower_sizes[g]),
+                                             seed=stream_key(cfg.seed, _TOWER_TAG, g * 64)[0]) for g in chunk]
+        results = mcwf.run(base, ensembles, grid, **options)
+        prev = [(res.average_states, np.ones(n_steps + 1)) for res in results]
         for k in range(1, cfg.k_max + 1):
-            # predicted raw-moment growth from the previous stage's average
-            flux = np.array(
-                [
-                    k * rate_at(t) * scale_prev[i]
-                    * np.einsum("ij,ji->", num_op, avg_prev.values[i]).real
-                    for i, t in enumerate(ts)
-                ]
-            )
-            mu_pred = np.concatenate([[0.0], np.cumsum(0.5 * (flux[1:] + flux[:-1]) * dt)])
-            # stage gauge: mostly thinning. Below the floor the counts are a
-            # few-fold amplified relative to a direct run, which keeps the
-            # smallest recorded moments resolvable while their statistical
-            # error still dominates the O(dt) step bias; beyond the floor the
-            # scale tracks the moment so counts stay near n_g. The backward
-            # pass caps the log slope (and hence p_d per step).
-            logs = np.log(np.maximum(mu_pred, 0.3))
-            for i in range(n_steps - 1, -1, -1):
-                logs[i] = max(logs[i], logs[i + 1] - c_ramp_max * dt)
-            scale = np.exp(logs)
-            dl = np.diff(np.log(scale))
-            # survival factor per step is exactly exp(-dl); creations enter at
-            # the end-of-step scale, so converting with `scale` adds no gauge
-            # bias at any order in dt
-            c_steps = (1.0 - np.exp(-dl)) / dt
-
-            def gauge_gamma(t: float, _c=c_steps) -> np.ndarray:
-                i = min(time_index(t), n_steps - 1)
-                return base.gamma_L(t) + _c[i] * np.eye(base.dim)
-
-            def source(t: float, _k=k, _avg=avg_prev, _sp=scale_prev, _s=scale) -> np.ndarray:
-                # t is a step midpoint; creations are converted at the
-                # end-of-step scale so the gauge stays bias-free
-                i = min(int(np.floor((t - grid.t0) / dt + 1e-9)), n_steps - 1)
-                sp_mid = 0.5 * (_sp[i] + _sp[i + 1])
-                f = _k * sp_mid / _s[i + 1]
-                return f * rate_at(t) * (counting_op @ _avg.at(t) @ counting_op.conj().T)
-
-            staged = TnpModel(
-                dim=base.dim,
-                hamiltonian=base.hamiltonian,
-                channels=base.channels,
-                gamma=gauge_gamma,
-                source=SourceTerm(source),
-            )
-            seed_gk = stream_key(cfg.seed, _TOWER_TAG, g * 64 + k)[0]
-            ens_k = Ensemble.empty(base.dim, n_ref=n_g, seed=seed_gk)
-            res_k = mcwf.run(staged, ens_k, grid, record_every=1,
-                             jump_mass_limit=cfg.jump_mass_limit, record_distinct=False)
-            tower_mu[k - 1, g] = scale[rec_idx] * res_k.trace_estimates[rec_idx]
-            avg_prev = OperatorTrajectory(grid, res_k.average_states)
-            scale_prev = scale
+            models, scales = zip(*(staged_model(k, avg, sp) for avg, sp in prev))
+            ensembles = [Ensemble.empty(base.dim, n_ref=int(tower_sizes[g]),
+                                        seed=stream_key(cfg.seed, _TOWER_TAG, g * 64 + k)[0]) for g in chunk]
+            del results, prev  # each stage holds only its own and the previous stage's series
+            results = mcwf.run(list(models), ensembles, grid, **options)
+            for g, scale, res in zip(chunk, scales, results):
+                tower_mu[k - 1, g] = scale[rec_idx] * res.trace_estimates[rec_idx]
+            prev = [(res.average_states, scale) for res, scale in zip(results, scales)]
 
     weights = tower_sizes / cfg.n_trajectories
     est = np.einsum("kgr,g->kr", tower_mu, weights)
@@ -249,7 +257,7 @@ def run_photon_counting(cfg: PhotonCountingConfig) -> MomentSeries:
         times=grid.times()[rec_idx],
         est=est,
         se=se,
-        exact=hier.moments[1:, rec_idx],
+        exact=exact_moments[1:, rec_idx],
         k_max=cfg.k_max,
     )
 

@@ -57,6 +57,21 @@ def phase_fix(psi: np.ndarray, threshold: float = 1e-8) -> np.ndarray:
     return psi * (ref.conjugate() / abs(ref))
 
 
+def phase_fix_each(states: np.ndarray, threshold: float = 1e-8) -> np.ndarray:
+    """:func:`phase_fix` of every row of an (n, d) block, row by row the same bytes.
+
+    The factor conj(r) / hypot(re r, im r) rounds as phase_fix's numpy-scalar
+    conj(r) / abs(r) does, which np.abs does not.
+    """
+    mags = np.abs(states)
+    first = np.argmax(mags > threshold * mags.max(axis=1, keepdims=True), axis=1)
+    del mags  # a stack's temporaries set the peak memory of a run with a source
+    refs = states[np.arange(states.shape[0]), first]
+    absref = np.hypot(refs.real, refs.imag)
+    absref[absref == 0.0] = 1.0  # an all-zero row stays zero
+    return states * (refs.conj() / absref)[:, None]
+
+
 def phase_fix_rows(states: np.ndarray, threshold: float = 1e-5) -> np.ndarray:
     """Vectorized :func:`phase_fix` over the rows of an (n, d) state block.
 
@@ -109,23 +124,16 @@ def _block_lexsort(cols: np.ndarray, block: np.ndarray) -> np.ndarray:
 
 def _canonical_order(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # eigh already sorts each spectrum ascending. Every column is phase-fixed
-    # as phase_fix does with its default threshold; the factor conj(r) /
-    # hypot(re r, im r) rounds as phase_fix's numpy-scalar conj(r) / abs(r)
-    # does, which np.abs does not. A degenerate block (values within tol of
-    # its first) is then ordered by the rounded (re, im, re, im, ...) keys of
-    # its phase-fixed columns.
+    # as phase_fix does with its default threshold. A degenerate block (values
+    # within tol of its first) is then ordered by the rounded (re, im, re, im,
+    # ...) keys of its phase-fixed columns.
     shape, d = vectors.shape, values.shape[-1]
     if d == 0 or values.size == 0:
         return values, vectors
     vals, vecs = values.reshape(-1, d), vectors.reshape(-1, d, d)
     m = vals.shape[0]
-    mags = np.abs(vecs)
-    first = np.argmax(mags > 1e-8 * mags.max(axis=1, keepdims=True), axis=1)
-    del mags  # a stack's temporaries set the peak memory of a run with a source
-    refs = np.take_along_axis(vecs, first[:, None, :], axis=1)[:, 0]
-    phases = refs.conj() / np.hypot(refs.real, refs.imag)
     # one row per phase-fixed column, matrix after matrix
-    cols = np.multiply(np.swapaxes(vecs, 1, 2), phases[:, :, None], order="C").reshape(m * d, d)
+    cols = phase_fix_each(np.swapaxes(vecs, 1, 2).reshape(m * d, d))
     # start[k, j]: first column of the block of column j; a block runs while
     # values stay within tol of its first value
     tol = 1e-12 * np.maximum(1.0, np.abs(vals).max(axis=1))

@@ -60,8 +60,8 @@ class McwfScheme:
     The engine calls ``prepare`` once per step and the kernels on the
     (n, d) block of member states: ``jump_bins`` (n, J) jump probabilities,
     negative for negative rates; ``det_states`` the drifted successors;
-    ``x_values`` <Gamma_L - Gamma> per row; ``jump_target`` the state after
-    jump ``b`` of row ``i``; ``reverse_entries`` the reverse-jump exits.
+    ``x_values`` <Gamma_L - Gamma> per row; ``jump_target`` the states after
+    jumps ``b`` of rows ``i``; ``reverse_entries`` the reverse-jump exits.
     """
 
     def prepare(self, model: TnpModel, t: float, dt: float) -> dict:
@@ -83,17 +83,29 @@ class McwfScheme:
             return np.zeros(states.shape[0])
         return expectations_rows(ctx["gdiff"], states)
 
-    def jump_target(self, ctx: dict, states: np.ndarray, i: int, b: int) -> np.ndarray:
-        lp = ctx["ops"][b] @ states[i]
-        return lp / np.linalg.norm(lp)
+    def jump_target(self, ctx: dict, states: np.ndarray, i, b):
+        """L_b psi_i / ||L_b psi_i|| for index arrays ``i`` and ``b`` of one length, (n, d);
+        for ints, the one state (d,)."""
+        if np.ndim(i) == 0:
+            return self.jump_target(ctx, states, np.array([i]), np.array([b]))[0]
+        branches = set(b.tolist())
+        if len(branches) == 1:
+            return _normalized_images(ctx["ops"][branches.pop()], states[i])
+        out = np.empty((len(i), states.shape[1]), dtype=complex)
+        for j in branches:
+            sel = np.flatnonzero(b == j)
+            out[sel] = _normalized_images(ctx["ops"][j], states[i[sel]])
+        return out
 
-    def reverse_entries(self, ctx, uniq_keys, uniq_states, uniq_counts, match_fn) -> dict:
-        """Host-state exits for every (negative channel, snapshot source) pair.
+    def reverse_entries(self, ctx, uniq_keys, uniq_states, uniq_counts, match_fn):
+        """Host-state exits for every (negative channel, snapshot source) pair:
+        arrays of the host class, the weight in realizations per step and the
+        source class of each exit, by channel and then by source.
 
         Raises NoSourceState when the host L psi'/||L psi'|| of a source psi'
         is absent from the snapshot, instead of dropping its weight.
         """
-        entries: dict[int, list] = {}
+        entries = [(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0, dtype=np.intp))]
         for j, rate in enumerate(ctx["rates"]):
             if rate >= 0.0:
                 continue
@@ -111,9 +123,15 @@ class McwfScheme:
                     f"ensemble for {int(lost.sum())} source state(s); lost weight "
                     f"{float(weights[lost].sum()):.3e} realizations per step"
                 )
-            for v, host, weight in zip(valid, hosts, weights):
-                entries.setdefault(int(host), []).append((float(weight), int(v), j))
-        return entries
+            entries.append((hosts, weights, valid))
+        return tuple(np.concatenate(e) for e in zip(*entries))
+
+
+def _normalized_images(op: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """op psi / ||op psi|| for every row psi; each row's bytes are those of
+    ``op @ psi / np.linalg.norm(op @ psi)``, whatever the number of rows."""
+    lp = np.matmul(op, rows[:, :, None])[:, :, 0]
+    return lp / np.sqrt(np.vecdot(lp.real, lp.real) + np.vecdot(lp.imag, lp.imag))[:, None]
 
 
 def run(model: TnpModel, ensembles, grid: TimeGrid, **options):

@@ -21,7 +21,7 @@ import numpy as np
 from . import engine
 from .errors import NoSourceState
 from .exact import TimeGrid
-from .linops import phase_fix
+from .linops import phase_fix_each
 from .mcwf import McwfScheme, normalize_drift, step_context
 from .model import TnpModel
 
@@ -94,30 +94,31 @@ class RoScheme:
 
     x_values = McwfScheme.x_values
 
-    def jump_target(self, ctx: dict, states: np.ndarray, i: int, b: int) -> np.ndarray:
-        return phase_fix(ctx["vectors"][i][:, b])
+    def jump_target(self, ctx: dict, states: np.ndarray, i, b):
+        """The phase-fixed eigenvector of branch b of the rate operator of row i, for
+        index arrays ``i`` and ``b`` of one length, (n, d); for ints, the one vector (d,)."""
+        if np.ndim(i) == 0:
+            return self.jump_target(ctx, states, np.array([i]), np.array([b]))[0]
+        return phase_fix_each(ctx["vectors"][i, :, b])
 
-    def reverse_entries(self, ctx, uniq_keys, uniq_states, uniq_counts, match_fn) -> dict:
-        """Host-state exits for every negative eigenbranch of a snapshot source;
-        NoSourceState when the branch eigenvector is absent from the snapshot."""
+    def reverse_entries(self, ctx, uniq_keys, uniq_states, uniq_counts, match_fn):
+        """Host-state exits for every negative eigenbranch of a snapshot source, by
+        source and then by branch, as :meth:`McwfScheme.reverse_entries` gives
+        them; NoSourceState when the branch eigenvector is absent from the snapshot."""
         lam, vec = np.linalg.eigh(self._rate_operators(ctx, uniq_states))
-        entries: dict[int, list] = {}
-        dt = ctx["dt"]
-        for v in range(uniq_states.shape[0]):
-            if uniq_counts[v] <= 0:
-                continue
-            for a in range(lam.shape[1]):
-                if lam[v, a] >= NEG_BRANCH_TOL:
-                    continue
-                host = int(match_fn(uniq_keys, phase_fix(vec[v][:, a])[None, :])[0])
-                weight = abs(float(lam[v, a])) * dt * float(uniq_counts[v])
-                if host < 0:
-                    raise NoSourceState(
-                        f"reverse jump through eigenbranch {a} of source state {v} at t = {ctx['t']:.6g} "
-                        f"has no host state in the ensemble; lost weight {weight:.3e} realizations per step"
-                    )
-                entries.setdefault(host, []).append((weight, v, a))
-        return entries
+        src, branch = np.nonzero((lam < NEG_BRANCH_TOL) & (uniq_counts > 0)[:, None])
+        if src.size == 0:
+            return src, np.zeros(0), src
+        hosts = match_fn(uniq_keys, phase_fix_each(vec[src, :, branch]))
+        weights = np.abs(lam[src, branch]) * ctx["dt"] * uniq_counts[src]
+        lost = np.flatnonzero(hosts < 0)
+        if lost.size:
+            k = lost[0]
+            raise NoSourceState(
+                f"reverse jump through eigenbranch {branch[k]} of source state {src[k]} at t = {ctx['t']:.6g} "
+                f"has no host state in the ensemble; lost weight {weights[k]:.3e} realizations per step"
+            )
+        return hosts, weights, src
 
 
 def run(model: TnpModel, ensembles, grid: TimeGrid, *, strategy: Optional[RoStrategy] = None, **options):

@@ -70,9 +70,9 @@ class StepTable:
         if counts is not None:
             self.bins = np.maximum(self.bins, 0.0)
             uniq_keys, sources, uniq_counts, obj_class = _build_snapshot(states, np.asarray(counts))
-            entries = scheme.reverse_entries(ctx, uniq_keys, sources, uniq_counts, _match_keys)
+            hosts, weights, srcs = scheme.reverse_entries(ctx, uniq_keys, sources, uniq_counts, _match_keys)
             for i, c in enumerate(obj_class):
-                self.exits[i] = [(w / uniq_counts[c], sources[v]) for w, v, _ in entries.get(int(c), [])]
+                self.exits[i] = [(w / uniq_counts[c], sources[v]) for h, w, v in zip(hosts, weights, srcs) if h == c]
 
     def reverse_mass(self, i):
         return sum(p for p, _ in self.exits[i])
@@ -118,6 +118,24 @@ class StepTable:
         out = sum(p * proj(self.targets[i][b]) for b, p in enumerate(self.bins[i]) if p != 0.0)
         out = out + sum(p * proj(src) for p, src in self.exits[i])
         return out + (self.p_det(i) + 2.0 * self.p_c[i]) * proj(self.det[i])
+
+
+def spawned_rows_loop(model, states, table, counts, exits):
+    """New rows of one MCWF step from the rows ``states`` as (parent, state,
+    count), built parent by parent as a per-row loop does: each jump branch,
+    then each reverse exit, then the replicated copy. ``table`` is the step's
+    :class:`StepTable`, ``counts`` the step's outcome counts, and ``exits[i]``
+    the (count, source state) of each reverse exit row i took."""
+    n_jump = len(model.channels)
+    rows = []
+    for i in np.flatnonzero((counts[:, : n_jump + 2] > 0).any(axis=1)):
+        for b in np.flatnonzero(counts[i, :n_jump]):
+            lp = model._ops[b] @ states[i]
+            rows.append((i, lp / np.linalg.norm(lp), counts[i, b]))
+        rows += [(i, state, c) for c, state in exits.get(i, []) if c]
+        if table.p_d[i] == 0.0 and counts[i, n_jump + 1]:
+            rows.append((i, table.det[i], counts[i, n_jump + 1]))
+    return rows
 
 
 def step_expectation(scheme, model, psi, t, dt):

@@ -1,4 +1,5 @@
-"""One engine step on a crafted ensemble, reverse jumps without a host, and source blocks."""
+"""One engine step on a crafted ensemble, the order of spawned rows, reverse
+jumps without a host, source blocks, and the recorded series."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from tnpmc.model import SourceTerm
 from tnpmc.mcwf import McwfScheme
 from tnpmc.rng import batched_uniform_words, make_generator, stream_key
 
-from helpers import StepTable, qubit_decay_model
+from helpers import StepTable, qubit_decay_model, spawned_rows_loop
 
 P = pauli_ops()
 PROJ0 = P.minus @ P.plus
@@ -105,6 +106,65 @@ def test_one_step_reaches_every_branch_and_keeps_the_ledger():
     # hosted lumps reverse-jump through both the categorical and the multinomial draw
     assert ("lump", True, "k<=3", True) in seen
     assert ("lump", True, "k>3", True) in seen
+
+
+def spawn_model():
+    """A qutrit whose |0> jumps to |1> and |2>, takes reverse jumps back to the
+    source |1> (|0><1| at a negative rate) and replicates (Gamma below Gamma_L
+    on |0> and |2>); |2> jumps to |0>."""
+    ket = np.eye(3, dtype=complex)
+    op = lambda a, b: np.outer(ket[a], ket[b])  # noqa: E731
+    channels = (JumpChannel(-2.0, op(0, 1), "reverse"), JumpChannel(2.0, op(1, 0), "to 1"),
+                JumpChannel(2.0, op(2, 0), "to 2"), JumpChannel(1.0, op(0, 2), "back"))
+    gamma_l = -2.0 * op(1, 1) + 4.0 * op(0, 0) + op(2, 2)
+    return TnpModel(dim=3, hamiltonian=np.zeros((3, 3)), channels=channels,
+                    gamma=gamma_l - np.diag([2.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_spawned_rows_keep_the_order_of_a_per_row_loop(seed):
+    # the host |0> jumps on two branches, takes a reverse exit and replicates
+    # in one step; |2> before it jumps and replicates. New rows follow their
+    # parent, then the branch, the reverse exit and the copy, bit for bit
+    model = spawn_model()
+    ket = np.eye(3, dtype=complex)
+    ens = Ensemble.empty(3, n_ref=2500, seed=seed, n_groups=3)
+    ens._append_members([(ket[2], 500, 0), (ket[0], 1000, 1), (ket[1], 1000, 2)])
+    table = StepTable(McwfScheme(), model, ens.states, 0.0, DT, counts=ens.mult)
+    work = ens.copy()
+    counts = _advance_step(model, work, McwfScheme(), 0.0, DT, True, engine._Lanes([work]))
+    assert (counts[1, [1, 2, 4, 5]] > 0).all() and counts[1, [0, 3]].sum() == 0
+    assert len(table.exits[1]) == 1 and not table.exits[0] and not table.exits[2]
+    expected = spawned_rows_loop(model, ens.states, table, counts, {1: [(counts[1, 4], table.exits[1][0][1])]})
+    assert [p for p, _, _ in expected][:2] == [0, 0] and len(expected) > 5
+    assert work.size == ens.size + len(expected)
+    new = slice(ens.size, None)
+    assert work.states[new].tobytes() == np.array([s for _, s, _ in expected]).tobytes()
+    assert work.mult[new].tolist() == [int(c) for _, _, c in expected]
+    assert work.group[new].tolist() == [int(ens.group[p]) for p, _, _ in expected]
+    assert work.ids[new].tolist() == list(range(ens.size, ens.size + len(expected)))
+
+
+def test_a_model_without_a_source_evaluates_none(monkeypatch):
+    calls = []
+    source_at = TnpModel.source_at
+    monkeypatch.setattr(TnpModel, "source_at", lambda self, t: calls.append(t) or source_at(self, t))
+    mcwf.run(qubit_decay_model(), Ensemble.sample_initial([(1.0, PLUS)], 100, seed=3), TimeGrid(0.0, 0.5, DT))
+    assert calls == []
+
+
+def test_series_when_record_every_leaves_a_remainder():
+    # 10 steps recorded every 3: steps 0, 3, 6 and 9, as every step's series gives them
+    model = qubit_decay_model(0.5)
+    ens = Ensemble.sample_initial([(1.0, PLUS)], 300, seed=5, n_groups=3)
+    grid = TimeGrid(0.0, 0.1, DT)
+    sparse = mcwf.run(model, ens, grid, record_every=3, observables={"z": P.z})
+    every = mcwf.run(model, ens, grid, observables={"z": P.z})
+    assert sparse.times.tolist() == [grid.time_at(k) for k in (0, 3, 6, 9)]
+    for name in ("times", "average_states", "trace_estimates", "total_counts", "distinct_counts", "group_counts"):
+        assert getattr(sparse, name).shape[0] == 4, name
+        assert np.array_equal(getattr(sparse, name), getattr(every, name)[::3]), name
+    assert np.array_equal(sparse.group_observables["z"], every.group_observables["z"][::3])
 
 
 def oscillating_model(hamiltonian):

@@ -4,6 +4,7 @@ import pytest
 from tnpmc import TimeGrid, TimeScalar, heisenberg_qubit, integrate, pauli_ops, split_positive, tilted_lindbladian
 from tnpmc.errors import CutoffLeakage, InvalidParameter
 from tnpmc.exact import solve_hierarchy
+from tnpmc import experiments
 from tnpmc.experiments import (
     HeisenbergConfig,
     PhotonCountingConfig,
@@ -14,6 +15,7 @@ from tnpmc.experiments import (
     run_heisenberg,
     run_photon_counting,
     run_tilted_trace,
+    stage_flux,
     validate_strongly_driven,
 )
 
@@ -57,6 +59,36 @@ def test_photon_counting_small_scale():
     names = series.column_names()
     assert names[0] == "t" and "mu_1" in names and "se_2" in names and "exact_2" in names
     assert len(series.rows()[0]) == len(names)
+
+
+def test_photon_towers_as_lanes_match_one_tower_per_run(monkeypatch):
+    # 5 towers in chunks of 4 (the last chunk one lane) against one tower per run
+    cfg = PhotonCountingConfig(n_max=12, n_trajectories=500, n_towers=5, k_max=3, t_final=0.4,
+                               record_every=10, seed=17)
+    lanes = run_photon_counting(cfg)
+    monkeypatch.setattr(experiments, "TOWER_LANES", 1)
+    alone = run_photon_counting(cfg)
+    for name in ("times", "est", "se", "exact"):
+        a, b = getattr(lanes, name), getattr(alone, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert np.all(lanes.est[:, -1] > 0.0)
+
+
+@pytest.mark.parametrize("dim", [6, 20])
+def test_stage_flux_equals_the_per_time_contraction(dim):
+    # the flux over all times in one contraction has the bytes of one
+    # contraction per time
+    rng = np.random.default_rng(dim)
+    n = 41
+    a = rng.normal(size=(n, dim, dim)) + 1j * rng.normal(size=(n, dim, dim))
+    avg = a @ np.swapaxes(a.conj(), 1, 2) / dim
+    op = np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
+    num_op = op.conj().T @ op
+    rates = 0.5 + rng.random(n)
+    scale_prev = np.exp(rng.normal(size=n))
+    expected = np.array([3 * rates[i] * scale_prev[i] * np.einsum("ij,ji->", num_op, avg[i]).real
+                         for i in range(n)])
+    assert stage_flux(3, rates, scale_prev, num_op, avg).tobytes() == expected.tobytes()
 
 
 def test_tilted_trace_zeta_zero_exact():

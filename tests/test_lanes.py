@@ -1,11 +1,12 @@
-"""Several ensembles sharing one model and grid advance as lanes of one engine
-run; every lane's result is byte-identical to a separate run of its ensemble."""
+"""Several ensembles sharing one grid, and one model or one model each, advance
+as lanes of one engine run; every lane's result is byte-identical to a
+separate run of its ensemble under its model."""
 
 import numpy as np
 import pytest
 
 from tnpmc import Ensemble, JumpChannel, TimeGrid, TnpModel, mcwf, pauli_ops, ro
-from tnpmc.errors import InvalidParameter, NegativeProbability, StepTooLarge
+from tnpmc.errors import InvalidParameter, NegativeProbability, NegativeSource, StepTooLarge
 from tnpmc.model import SourceTerm
 
 from helpers import random_state, random_tnp_model
@@ -39,14 +40,16 @@ def assert_same_result(joint, alone):
 
 
 def run_as_lanes(runner, model, ensembles, grid, **options):
-    """Run the ensembles as lanes and each on its own; every result must agree byte for byte."""
+    """Run the ensembles as lanes and each on its own, under the shared model or
+    under one model each (``model`` a list); every result must agree byte for byte."""
+    models = model if isinstance(model, list) else [model] * len(ensembles)
     before = [e.copy() for e in ensembles]
     joint = runner(model, ensembles, grid, **options)
     assert isinstance(joint, list) and len(joint) == len(ensembles)
-    for ens, kept, res in zip(ensembles, before, joint):
+    for ens, kept, lane_model, res in zip(ensembles, before, models, joint):
         for name in Ensemble._FIELDS:  # the inputs are left as they were
             assert_same_bytes(getattr(ens, name), getattr(kept, name), name)
-        assert_same_result(res, runner(model, ens, grid, **options))
+        assert_same_result(res, runner(lane_model, ens, grid, **options))
     return joint
 
 
@@ -56,14 +59,24 @@ def one_object(state, mult, seed, n_ref=None):
     return ens
 
 
-def branching_model():
-    """Decay, pumping and Gamma = Gamma_L + diag(40, -1): states near |0> vanish
-    fast, states near |1> replicate."""
+def branching_model(shift=(40.0, -1.0), source=None):
+    """Decay, pumping and Gamma = Gamma_L + diag(shift): with the default shift
+    states near |0> vanish fast and states near |1> replicate."""
     return TnpModel(
         dim=2, hamiltonian=0.3 * P.x,
         channels=(JumpChannel(1.5, P.minus, "decay"), JumpChannel(0.5, P.plus, "pump")),
-        gamma=lambda t: 1.5 * PROJ1 + 0.5 * PROJ0 + np.diag([40.0, -1.0]),
+        gamma=lambda t: 1.5 * PROJ1 + 0.5 * PROJ0 + np.diag(shift),
+        source=source,
     )
+
+
+def rotating_source(weight, freq, phase):
+    """A positive source term whose main eigenvector turns with time."""
+    def source(t):
+        psi = np.array([np.cos(freq * t), np.sin(freq * t) * np.exp(1j * phase)])
+        return weight * np.outer(psi, psi.conj()) + 0.2 * weight * PROJ0
+
+    return SourceTerm(source)
 
 
 @pytest.mark.parametrize("runner", [mcwf.run, ro.run])
@@ -164,3 +177,62 @@ def test_a_failing_lane_is_named():
     lanes[1].steps = 9
     with pytest.raises(StepTooLarge, match=r"at step 9, t = 0 for lane 1 object 0 \(multiplicity 5\)"):
         mcwf.run(fast, lanes, TimeGrid(0.0, 0.1, 1e-2))
+
+
+@pytest.mark.parametrize("runner", [mcwf.run, ro.run])
+def test_lanes_of_their_own_models_match_separate_runs(runner):
+    # Gamma differs per lane, so lanes vanish, replicate or keep their trace;
+    # sources differ, one lane has none, and lanes start empty or with one object
+    models = [
+        branching_model((-1.0, -1.0)),  # every state replicates
+        branching_model((-2.0, 3.0), source=rotating_source(0.8, 2.0, 0.5)),
+        branching_model((0.0, 0.0), source=rotating_source(0.3, -3.0, 1.1)),  # trace preserving, with a source
+        branching_model((40.0, -1.0)),  # |0> vanishes fast
+        branching_model((1.0, 1.0), source=rotating_source(1.5, 1.0, 0.0)),
+    ]
+    ensembles = [
+        Ensemble.sample_initial([(0.7, KET1), (0.3, PLUS)], 300, seed=51, n_groups=3),
+        Ensemble.empty(2, n_ref=200, seed=52, n_groups=2),
+        one_object(KET1, 1, seed=53, n_ref=40),  # one-row kernels
+        one_object(KET0, 3, seed=54),  # vanishes within a few steps
+        Ensemble.empty(2, n_ref=100, seed=55),
+    ]
+    joint = run_as_lanes(runner, models, ensembles, TimeGrid(0.0, 0.3, 2e-3), record_every=7,
+                         observables={"z": P.z})
+    assert joint[0].total_counts[-1] > joint[0].total_counts[0]
+    assert joint[3].total_counts[-1] == 0 < joint[3].total_counts[0]
+    assert joint[1].final_ensemble.size > 0 and joint[4].final_ensemble.size > 0  # created from empty
+    assert joint[2].total_counts[-1] > joint[2].total_counts[0]
+
+
+def test_one_model_per_lane_equals_the_shared_model():
+    # a list of one model object is the shared-model run, context and all
+    model = branching_model()
+    ensembles = [Ensemble.sample_initial([(1.0, PLUS)], 100, seed=s, n_groups=2) for s in (61, 62)]
+    grid = TimeGrid(0.0, 0.1, 2e-3)
+    for joint, shared in zip(mcwf.run([model, model], ensembles, grid), mcwf.run(model, ensembles, grid)):
+        assert_same_result(joint, shared)
+
+
+def test_lanes_reject_a_wrong_model_count():
+    ensembles = [Ensemble.sample_initial([(1.0, PLUS)], 10, seed=s) for s in (1, 2)]
+    grid = TimeGrid(0.0, 0.1, 1e-2)
+    for models in ([branching_model()], [branching_model()] * 3):
+        with pytest.raises(InvalidParameter, match=f"{len(models)} models for 2 ensembles"):
+            mcwf.run(models, ensembles, grid)
+    qutrit = TnpModel(dim=3, hamiltonian=np.zeros((3, 3)), channels=())
+    with pytest.raises(InvalidParameter, match="one dimension"):
+        mcwf.run([branching_model(), qutrit], ensembles, grid)
+
+
+def test_a_negative_source_names_its_lane():
+    def turning(t):
+        return np.outer(KET0, KET0.conj()) * (1.0 if t < 0.05 else -1.0)
+
+    models = [branching_model((0.0, 0.0), source=rotating_source(0.5, 1.0, 0.0)),
+              branching_model((0.0, 0.0), source=SourceTerm(turning))]
+    ensembles = [Ensemble.empty(2, n_ref=50, seed=s) for s in (71, 72)]
+    with pytest.raises(NegativeSource, match=r"^lane 1: source eigenvalue -1\.000e\+00 below -1e-06 at t = 0\.05$"):
+        mcwf.run(models, ensembles, TimeGrid(0.0, 0.1, 1e-2))
+    with pytest.raises(NegativeSource, match=r"^source eigenvalue -1\.000e\+00 below -1e-06 at t = 0\.05$"):
+        mcwf.run(models[1], ensembles[1], TimeGrid(0.0, 0.1, 1e-2))

@@ -360,3 +360,23 @@ def test_run_negative_rates_guard():
     # the rate cos(2 t) turns negative after t = pi/4
     with pytest.raises(NegativeProbability, match=r"jump branch 0 .* at step 79, t = 0\.79;"):
         mcwf.run(m, ens, TimeGrid(0.0, 1.0, 1e-2))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 20])
+def test_batched_jump_targets_equal_the_per_row_form(dim):
+    # one call over many (row, branch) pairs gives, row by row, the bytes of
+    # L_b psi / ||L_b psi||; also for a single pair and for one branch only
+    rng = np.random.default_rng(dim)
+    model = random_tnp_model(rng, dim, n_channels=3)
+    states = np.stack([random_state(rng, dim) for _ in range(400)])
+    ctx = McwfScheme().prepare(model, 0.0, 0.01)
+    rows = rng.integers(0, states.shape[0], size=600)
+    branches = rng.integers(0, 3, size=600)
+    for i, b in ((rows, branches), (rows[:1], branches[:1]), (rows, np.full(600, 2))):
+        got = McwfScheme().jump_target(ctx, states, i, b)
+        assert got.shape == (i.size, dim)
+        for k in range(i.size):
+            lp = model._ops[b[k]] @ states[i[k]]
+            assert got[k].tobytes() == (lp / np.linalg.norm(lp)).tobytes()
+    lp = model._ops[1] @ states[5]
+    assert McwfScheme().jump_target(ctx, states, 5, 1).tobytes() == (lp / np.linalg.norm(lp)).tobytes()

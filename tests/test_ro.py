@@ -12,6 +12,7 @@ from tnpmc import (
     ro,
 )
 from tnpmc.errors import NegativeProbability
+from tnpmc.linops import phase_fix
 from tnpmc.mcwf import McwfScheme
 from tnpmc.ro import RoScheme, RoStrategy
 
@@ -193,3 +194,23 @@ def test_ro_run_reverse_jumps_track_oracle():
     traces = np.trace(exact, axis1=1, axis2=2).real
     assert np.abs(res.trace_estimates - traces).max() <= 0.05
     assert np.abs(res.average_states[:, 1, 1].real - exact[:, 1, 1].real).max() <= 0.05
+
+
+@pytest.mark.parametrize("gauge", [False, True], ids=["zero", "user"])
+def test_batched_jump_targets_equal_the_per_row_form(gauge):
+    # one call over many (row, branch) pairs gives, row by row, the bytes of
+    # phase_fix on that row's eigenvector of that branch
+    rng = np.random.default_rng(7)
+    dim = 4
+    model = random_tnp_model(rng, dim, n_channels=3)
+    c_mat = random_hermitian(rng, dim, 0.5) + 0.3j * random_hermitian(rng, dim)
+    scheme = RoScheme(RoStrategy.user(lambda s, t: c_mat) if gauge else None)
+    states = np.stack([random_state(rng, dim) for _ in range(300)])
+    ctx = scheme.prepare(model, 0.0, 0.01)
+    scheme.jump_bins(ctx, states)
+    rows = rng.integers(0, states.shape[0], size=500)
+    branches = rng.integers(0, dim, size=500)
+    got = scheme.jump_target(ctx, states, rows, branches)
+    for k in range(rows.size):
+        assert got[k].tobytes() == phase_fix(ctx["vectors"][rows[k]][:, branches[k]]).tobytes()
+    assert scheme.jump_target(ctx, states, 7, 2).tobytes() == phase_fix(ctx["vectors"][7][:, 2]).tobytes()

@@ -103,17 +103,18 @@ def max_bloch_norms(m: np.ndarray, c: np.ndarray, n_points: int = 4096, refine_s
     """:func:`max_bloch_norm` of every affine map r -> m[k] r + c[k] of a stack.
 
     The scan runs one map at a time, which keeps its memory at one
-    (n_points, 3) block; the ascent runs on all maps at once, and a map stops
+    (3, n_points) block; the ascent runs on all maps at once, and a map stops
     moving when its image or its tangent gradient vanishes.
     """
-    pts = _fibonacci_sphere(n_points)
+    pts = _fibonacci_sphere(n_points).T.copy()  # (3, n_points): the image rows are its coordinates
     k = m.shape[0]
     v = np.empty((k, 3))
     fv = np.empty(k)
     for s in range(k):
-        norms = np.linalg.norm(pts @ m[s].T + c[s], axis=1)
+        x0, x1, x2 = np.square(m[s] @ pts + c[s][:, None])
+        norms = np.sqrt(x0 + x1 + x2)  # the bytes of np.linalg.norm of the image points
         best = int(np.argmax(norms))
-        v[s], fv[s] = pts[best], norms[best]
+        v[s], fv[s] = pts[:, best], norms[best]
     step = np.full(k, 0.05)
     moving = np.ones(k, dtype=bool)
     for _ in range(refine_steps):

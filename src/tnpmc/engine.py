@@ -14,7 +14,8 @@ ledger is checked after every change.
 Several ensembles that share the grid can advance as lanes of one run, under
 one shared model, which is evaluated once per step for all of them, or under
 one model per lane. Each lane keeps its own rows, streams and counters, so
-its result is byte-identical to a run of that ensemble alone.
+its result is byte-identical to a run of that ensemble alone; lanes under one
+model share the kernel calls of their multi-row blocks and one binomial pass.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .ensemble import Ensemble, canonical_key_rows
+from .ensemble import Ensemble, _key_mix, _run_starts, canonical_key_rows
 from .errors import (
     CountLedgerError,
     InvalidParameter,
@@ -35,7 +36,7 @@ from .errors import (
 from .exact import TimeGrid
 from .linops import hermitian_eig
 from .model import TnpModel
-from .rng import batched_uniform_words, binomial_inverse, make_generator, stream_key
+from .rng import batched_uniform_words, binomial_inverse, make_generator, resume_stream, stream_key, stream_position
 
 JUMP_MASS_LIMIT = 0.1
 STEP_STREAM_TAG = 0x5374657053747265  # stream_key tag of the per-step outcome stream
@@ -69,27 +70,40 @@ def _void_rows(rows: np.ndarray) -> np.ndarray:
 
 def _build_snapshot(states: np.ndarray, mult: np.ndarray):
     """State classes of the rows by canonical key, in lexicographic key order:
-    their keys, first rows, summed counts, and the class of every row."""
+    their keys, first rows, summed counts, and the class of every row.
+
+    The rows are grouped through the merge's hash order, which keeps each
+    group in row order, so a class starts at its first row; only the class
+    keys are then sorted."""
     rows = canonical_key_rows(states)
-    order = np.lexsort(rows.T[::-1])  # stable, so each class starts at its first row
-    ordered = rows[order]
-    starts = np.ones(rows.shape[0], dtype=bool)
-    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    order, starts = _run_starts(rows)
     first = order[starts]
+    classes = np.lexsort(rows[first].T[::-1])  # distinct keys, so no ties
+    rank = np.empty_like(classes)
+    rank[classes] = np.arange(classes.size)
     inverse = np.empty(rows.shape[0], dtype=np.int64)
-    inverse[order] = np.cumsum(starts) - 1
-    counts = np.add.reduceat(mult[order], np.flatnonzero(starts))
-    return _void_rows(rows[first]), states[first], counts, inverse
+    inverse[order] = rank[np.cumsum(starts) - 1]
+    counts = np.add.reduceat(mult[order], np.flatnonzero(starts))[classes]
+    first = first[classes]
+    return rows[first], states[first], counts, inverse
 
 
-def _match_keys(uniq_keys: np.ndarray, candidate_states: np.ndarray) -> np.ndarray:
-    """Index of each candidate's canonical key in uniq_keys, -1 when absent."""
+def _match_keys(class_keys: np.ndarray, candidate_states: np.ndarray) -> np.ndarray:
+    """Index of each candidate's canonical key in the class keys (distinct rows in
+    lexicographic order), -1 when absent.
+
+    Candidates are looked up by a wrapping int64 hash of their key rows and
+    then compared exactly; when two classes share a hash, by the key rows.
+    """
     rows = canonical_key_rows(candidate_states)
-    keys = _void_rows(rows)
-    pos = np.searchsorted(uniq_keys, keys)
-    pos = np.clip(pos, 0, uniq_keys.shape[0] - 1)
-    found = uniq_keys[pos] == keys
-    return np.where(found, pos, -1)
+    mix = _key_mix(rows.shape[1])
+    hashes = class_keys @ mix
+    by_hash = np.argsort(hashes)
+    table, wanted = hashes[by_hash], rows @ mix
+    if (table[1:] == table[:-1]).any():
+        by_hash, table, wanted = np.arange(class_keys.shape[0]), _void_rows(class_keys), _void_rows(rows)
+    cls = by_hash[np.minimum(np.searchsorted(table, wanted), table.shape[0] - 1)]
+    return np.where((np.take(class_keys, cls, axis=0) == rows).all(axis=1), cls, -1)
 
 
 def run(
@@ -288,15 +302,38 @@ class _Series:
         )
 
 
+def _kernel_blocks(model, scheme, t, dt, spans):
+    """The blocks of rows the kernels run on, as (step context, first row, end row).
+
+    Under one shared model, each run of neighbouring lanes of two or more rows
+    is one block, and a lane of one row is a block of its own: numpy multiplies
+    a single row through gemv, whose last bit may differ from the same row
+    inside a gemm. Under one model per lane, each lane is a block with its own
+    context. A kernel may leave per-row data in its block's context (the
+    rate-operator eigenvectors), so every block has a context of its own.
+    """
+    if not isinstance(model, TnpModel):
+        return [(scheme.prepare(model[lane], t, dt), lo, hi) for lane, lo, hi in spans]
+    runs = []
+    for _, lo, hi in spans:
+        if hi - lo > 1 and runs and runs[-1][1] - runs[-1][0] > 1:
+            runs[-1][1] = hi
+        else:
+            runs.append([lo, hi])
+    shared = scheme.prepare(model, t, dt)
+    return [(shared if len(runs) == 1 else dict(shared), lo, hi) for lo, hi in runs]
+
+
 def _advance_step(model, ens, scheme, t, dt, reverse_jumps, lanes, jump_mass_limit=JUMP_MASS_LIMIT):
     """Draw one outcome per realization and apply all of them at the barrier.
 
     ``model`` is the model every lane shares, which is evaluated once for all
-    of them, or a list of one model per lane. The kernels run on each lane's
-    rows with its lane's step context. Each lane draws from the stream of its
+    of them, or a list of one model per lane. The kernels run once per block
+    of rows (:func:`_kernel_blocks`). Each lane draws from the stream of its
     seed at its step counter: four uniforms per object
     (``batched_uniform_words``), then the multinomial fallbacks in object
-    order.
+    order. One ``binomial_inverse`` pass splits the counts of the objects of
+    every lane.
 
     Returns the outcome counts per object, an (n, J + 3) array with columns
     [jumps per channel or branch | reverse jumps | vanish or replicate |
@@ -309,17 +346,11 @@ def _advance_step(model, ens, scheme, t, dt, reverse_jumps, lanes, jump_mass_lim
     states, mult = ens.states, ens.mult
     bounds = lanes.bounds(ens)
     spans = [(lane, lo, hi) for lane, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])) if hi > lo]
-    # each lane's context, first row and rows; a kernel may leave per-row data
-    # in its context (the rate-operator eigenvectors)
-    if isinstance(model, TnpModel):
-        shared = scheme.prepare(model, t, dt)
-        blocks = {lane: (shared if lanes.n == 1 else dict(shared), lo, states[lo:hi]) for lane, lo, hi in spans}
-    else:
-        blocks = {lane: (scheme.prepare(model[lane], t, dt), lo, states[lo:hi]) for lane, lo, hi in spans}
-    ctx = blocks[spans[0][0]][0]  # the guard tolerance of the scheme; a run with reverse jumps has one lane
+    blocks = _kernel_blocks(model, scheme, t, dt, spans)
+    ctx = blocks[0][0]  # the guard tolerance of the scheme; a run with reverse jumps has one lane
     parts = [
-        (scheme.jump_bins(c, rows), scheme.det_states(c, rows), scheme.x_values(c, rows))
-        for c, _, rows in blocks.values()
+        (scheme.jump_bins(c, states[lo:hi]), scheme.det_states(c, states[lo:hi]), scheme.x_values(c, states[lo:hi]))
+        for c, lo, hi in blocks
     ]
     if len(parts) == 1:
         raw_bins, det_states, x = parts[0]  # (n, J) jump bins, possibly negative
@@ -394,28 +425,36 @@ def _advance_step(model, ens, scheme, t, dt, reverse_jumps, lanes, jump_mass_lim
     # multiplicity m > 1: the number k of non-deterministic events is
     # Binomial(m, p_ev); up to three events take one categorical uniform each,
     # more events and large lumps fall back to a multinomial Generator
-    k = np.zeros(n, dtype=np.int64)
-    u_parts = []
+    u_parts, positions = [], {}
     for lane, lo, hi in spans:
         gen = make_generator(*lanes.step_keys[lane], lanes.steps[lane])
         u_parts.append(batched_uniform_words(mult[lo:hi], gen))
-        multi = lo + np.flatnonzero(mult[lo:hi] > 1)
-        if not multi.size:
-            continue
+        if len(spans) > 1 and (mult[lo:hi] > 1).any():
+            # where the lane's multinomial fallbacks continue; a lone drawing lane's stream stays there
+            positions[lane] = stream_position()
+    u0, u1, u2, u3 = u_parts[0] if len(u_parts) == 1 else (np.concatenate(w) for w in zip(*u_parts))
+    k = np.zeros(n, dtype=np.int64)
+    multi = np.flatnonzero(mult > 1)
+    if multi.size:
         m = mult[multi]
         p_ev = jump_mass[multi] + rev_total[multi] + pdc[multi]
         small = m * p_ev <= 32.0
-        k_lane = np.zeros(multi.size, dtype=np.int64)
-        k_lane[small] = binomial_inverse(m[small], p_ev[small], u_parts[-1][0][multi[small] - lo])
-        counts[multi, DET] = m - k_lane
-        k[multi] = k_lane
-        for c in np.flatnonzero(~small | (k_lane > 3)):
-            # the lane's multinomial fallbacks continue its stream, in object order
+        k_multi = np.zeros(multi.size, dtype=np.int64)
+        k_multi[small] = binomial_inverse(m[small], p_ev[small], u0[multi[small]])  # one pass for every lane
+        counts[multi, DET] = m - k_multi
+        k[multi] = k_multi
+        resumed = -1
+        for c in np.flatnonzero(~small | (k_multi > 3)):
+            # each lane's multinomial fallbacks continue its stream, in lane and then object order
             i = int(multi[c])
+            if positions:
+                lane = int(np.searchsorted(bounds, i, side="right")) - 1
+                if lane != resumed:
+                    gen, resumed = resume_stream(positions[lane]), lane
             probs = exits.get(int(obj_class[i]), (np.zeros(0),))[0]
             ev = np.concatenate([pos_bins[i], probs, pdc[i : i + 1]])
             if small[c]:
-                drawn = gen.multinomial(int(k_lane[c]), ev / ev.sum())
+                drawn = gen.multinomial(int(k_multi[c]), ev / ev.sum())
             else:
                 pvec = np.append(ev, max(pdet[i], 0.0))
                 drawn = gen.multinomial(int(m[c]), pvec / pvec.sum())
@@ -426,7 +465,6 @@ def _advance_step(model, ens, scheme, t, dt, reverse_jumps, lanes, jump_mass_lim
             counts[i, DC] = drawn[REV + r]
             if counts[i, REV]:
                 rev_counts[i] = drawn[REV : REV + r]
-    u0, u1, u2, u3 = u_parts[0] if len(u_parts) == 1 else (np.concatenate(w) for w in zip(*u_parts))
 
     # multiplicity 1: one inverse-CDF pass over u0
     single = np.flatnonzero(mult == 1)
@@ -458,11 +496,10 @@ def _advance_step(model, ens, scheme, t, dt, reverse_jumps, lanes, jump_mass_lim
     replicated = np.where(pd > 0.0, 0, counts[:, DC])
     parent, branch = np.nonzero(counts[:, :REV])
     targets = np.empty((parent.size, ens.dim), dtype=complex)
-    cut = np.searchsorted(parent, bounds).tolist()
-    for lane, (c, lo, rows) in blocks.items():
-        if cut[lane + 1] > cut[lane]:
-            jumps = slice(cut[lane], cut[lane + 1])
-            targets[jumps] = scheme.jump_target(c, rows, parent[jumps] - lo, branch[jumps])
+    cut = np.searchsorted(parent, [lo for _, lo, _ in blocks] + [n]).tolist()
+    for (c, lo, hi), a, b in zip(blocks, cut[:-1], cut[1:]):
+        if b > a:
+            targets[a:b] = scheme.jump_target(c, states[lo:hi], parent[a:b] - lo, branch[a:b])
     spawned = [(parent, targets, counts[parent, branch])]  # (parents, states, counts) by kind
     for i in sorted(rev_counts):
         hit = np.flatnonzero(rev_counts[i])

@@ -92,7 +92,7 @@ def _run_starts(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         hs = h[order]
         starts[1:] = hs[1:] != hs[:-1]
     same = np.flatnonzero(~starts[1:])
-    if (rows[order[same]] != rows[order[same + 1]]).any():
+    if (np.take(rows, order[same], axis=0) != np.take(rows, order[same + 1], axis=0)).any():
         order = np.lexsort(rows.T[::-1])
         ordered = rows[order]
         starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)

@@ -54,31 +54,32 @@ class OperatorTrajectory:
         return (1.0 - w) * self.values[i0] + w * self.values[i0 + 1]
 
 
-def _rk4_rhs(model: TnpModel, t: float, rho: np.ndarray) -> np.ndarray:
-    return model.apply_liouvillian(t, rho)
-
-
 def integrate(model: TnpModel, rho0: np.ndarray, grid: TimeGrid) -> OperatorTrajectory:
     """Classical fixed-step RK4 of one operator (d, d) or of a stack (m, d, d).
 
-    Each step re-symmetrizes to kill Hermiticity drift. A stack is integrated
-    in one run, evaluating the model once per stage, and every member follows
-    the same arithmetic as when integrated alone.
+    The generator (:meth:`TnpModel.generator_at`) is evaluated at 2n + 1
+    times of an n-step grid: at the start, and at the midpoint and the end of
+    every step, whose end carries into the next step. Each step re-symmetrizes
+    to kill Hermiticity drift. A stack is integrated in one run, and every
+    member follows the same arithmetic as when integrated alone.
     """
     rho = np.asarray(rho0, dtype=complex).copy()
     out = np.empty((grid.n_steps + 1,) + rho.shape, dtype=complex)
     out[0] = rho
     dt = grid.dt
+    end = model.generator_at(grid.t0)
     for i in range(grid.n_steps):
-        t = grid.time_at(i)
-        k1 = _rk4_rhs(model, t, rho)
-        k2 = _rk4_rhs(model, t + 0.5 * dt, rho + 0.5 * dt * k1)
-        k3 = _rk4_rhs(model, t + 0.5 * dt, rho + 0.5 * dt * k2)
-        k4 = _rk4_rhs(model, t + dt, rho + dt * k3)
+        start, t_next = end, grid.time_at(i + 1)
+        mid = model.generator_at(grid.time_at(i) + 0.5 * dt)
+        end = model.generator_at(t_next)
+        k1 = start(rho)
+        k2 = mid(rho + 0.5 * dt * k1)
+        k3 = mid(rho + 0.5 * dt * k2)
+        k4 = end(rho + dt * k3)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         rho = 0.5 * (rho + np.swapaxes(rho.conj(), -1, -2))
         if not np.isfinite(rho).all():
-            raise NonFiniteState(f"non-finite density operator at t = {t + dt:.6g}")
+            raise NonFiniteState(f"non-finite density operator at t = {t_next:.6g}")
         out[i + 1] = rho
     return OperatorTrajectory(grid=grid, values=out)
 

@@ -113,9 +113,10 @@ class TnpModel:
     channels: tuple[JumpChannel, ...]
     gamma: Union[str, MatrixLike] = LINDBLAD
     source: Optional[SourceTerm] = None
-    # derived at construction: the channel operators, their products L_j^dag L_j,
-    # and a constant H or Gamma as a validated complex matrix (None when callable)
+    # derived at construction: the channel operators, their adjoints, their products
+    # L_j^dag L_j, and a constant H or Gamma as a validated complex matrix (None when callable)
     _ops: tuple[np.ndarray, ...] = field(init=False, repr=False, default=())
+    _op_adjoints: tuple[np.ndarray, ...] = field(init=False, repr=False, default=())
     _op_products: tuple[np.ndarray, ...] = field(init=False, repr=False, default=())
     _h: Optional[np.ndarray] = field(init=False, repr=False, default=None)
     _gamma: Optional[np.ndarray] = field(init=False, repr=False, default=None)
@@ -130,7 +131,8 @@ class TnpModel:
                 )
             ops.append(op)
         object.__setattr__(self, "_ops", tuple(ops))
-        object.__setattr__(self, "_op_products", tuple(op.conj().T @ op for op in ops))
+        object.__setattr__(self, "_op_adjoints", tuple(op.conj().T for op in ops))
+        object.__setattr__(self, "_op_products", tuple(adj @ op for adj, op in zip(self._op_adjoints, ops)))
         if not callable(self.hamiltonian):
             object.__setattr__(self, "_h", self._checked_hamiltonian(self.hamiltonian))
         h0 = self.hamiltonian_at(0.0)
@@ -183,22 +185,35 @@ class TnpModel:
     def source_at(self, t: float) -> Optional[np.ndarray]:
         return None if self.source is None else self.source.at(t)
 
-    def apply_liouvillian(self, t: float, rho: np.ndarray) -> np.ndarray:
-        """The generator applied to one operator (d, d) or to each of a stack (..., d, d);
-        the model is evaluated once whatever the stack size."""
-        rho = np.asarray(rho, dtype=complex)
-        if rho.shape[-2:] != (self.dim, self.dim):
-            raise DimensionMismatch(f"rho shape {rho.shape} != (..., {self.dim}, {self.dim})")
-        h = self.hamiltonian_at(t)
-        out = -1j * (h @ rho - rho @ h)
-        for ch, op in zip(self.channels, self._ops):
-            out += ch.rate_at(t) * (op @ rho @ op.conj().T)
-        g = self.gamma_at(t)
-        out -= 0.5 * (g @ rho + rho @ g)
+    def generator_at(self, t: float) -> Callable[[np.ndarray], np.ndarray]:
+        """The generator at time t as a function of rho, for one operator (d, d) or
+        each of a stack (..., d, d):
+
+            rho -> -i (K rho - rho K^dag) + sum_j gamma_j L_j rho L_j^dag + S,
+
+        with K = H - (i/2) Gamma the drift generator. H, the rates, Gamma and the
+        source are evaluated once, here, whatever the number of applications.
+        """
+        rates = [ch.rate_at(t) for ch in self.channels]
+        gamma = self.gamma_L_from_rates(rates) if self.is_trace_preserving else self.gamma_at(t)
+        k = self.hamiltonian_at(t) - 0.5j * gamma
+        k_dag = k.conj().T
         s = self.source_at(t)
-        if s is not None:
-            out = out + s
-        return out
+
+        def apply(rho: np.ndarray) -> np.ndarray:
+            rho = np.asarray(rho, dtype=complex)
+            if rho.shape[-2:] != (self.dim, self.dim):
+                raise DimensionMismatch(f"rho shape {rho.shape} != (..., {self.dim}, {self.dim})")
+            out = -1j * (k @ rho - rho @ k_dag)
+            for rate, op, adj in zip(rates, self._ops, self._op_adjoints):
+                out += rate * (op @ rho @ adj)
+            return out if s is None else out + s
+
+        return apply
+
+    def apply_liouvillian(self, t: float, rho: np.ndarray) -> np.ndarray:
+        """The generator at time t applied to one operator (d, d) or to each of a stack (..., d, d)."""
+        return self.generator_at(t)(rho)
 
     def trace_derivative(self, t: float, rho: np.ndarray) -> float:
         """tr[(Gamma_L - Gamma) rho]; zero identically for the sentinel Gamma."""

@@ -63,6 +63,18 @@ def make_generator(key0: int, key1: int, counter: int) -> np.random.Generator:
     return _GENERATOR
 
 
+def stream_position() -> dict:
+    """Where the stream of the last :func:`make_generator` call stands, for :func:`resume_stream`."""
+    return _PHILOX.state
+
+
+def resume_stream(position: dict) -> np.random.Generator:
+    """The generator of :func:`make_generator`, put back at a position taken by
+    :func:`stream_position`; like a new stream, it invalidates the generator in use."""
+    _PHILOX.state = position
+    return _GENERATOR
+
+
 def binomial_inverse(m: np.ndarray, p: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Vectorized Binomial(m, p) sampling by CDF inversion; intended for small
     m*p (the loop runs max(k)+1 rounds)."""

@@ -1,7 +1,9 @@
 """Shared fixtures: random model generators, one-step oracles built from the
 scheme kernels, seeds that put a first-step uniform in a chosen bin,
 loop-by-loop oracles of the stacked map propagation and eigenvector ordering,
-and the three-operand contractions that the two-operand ones replace."""
+the RK4 that evaluates the generator at every stage, the Bloch scan through
+``np.linalg.norm``, and the three-operand contractions that the two-operand
+ones replace."""
 
 from __future__ import annotations
 
@@ -10,6 +12,7 @@ import numpy as np
 from tnpmc import (
     DynamicalMap, Ensemble, JumpChannel, TimeGrid, TimeScalar, TnpModel, heisenberg_qubit, integrate, pauli_ops,
 )
+from tnpmc.divisibility import _fibonacci_sphere
 from tnpmc.engine import STEP_STREAM_TAG, _build_snapshot, _match_keys
 from tnpmc.exact import vec
 from tnpmc.linops import phase_fix
@@ -291,3 +294,40 @@ def lexsort_run_starts(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     starts = np.ones(rows.shape[0], dtype=bool)
     starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
     return order, starts
+
+
+def liouvillian_terms(model: TnpModel, t: float, rho: np.ndarray) -> np.ndarray:
+    """-i [H, rho] + sum_j gamma_j L_j rho L_j^dag - 1/2 {Gamma, rho} + S, term by term."""
+    h = model.hamiltonian_at(t)
+    out = -1j * (h @ rho - rho @ h)
+    for ch, op in zip(model.channels, model._ops):
+        out += ch.rate_at(t) * (op @ rho @ op.conj().T)
+    g = model.gamma_at(t)
+    out -= 0.5 * (g @ rho + rho @ g)
+    s = model.source_at(t)
+    return out if s is None else out + s
+
+
+def rk4_every_stage(model: TnpModel, rho0: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Classical RK4 that evaluates the generator at t, t + dt/2 (twice) and t + dt of
+    every step, with the same Hermitian re-symmetrization as ``integrate``; (n + 1, ..., d, d)."""
+    rho = np.asarray(rho0, dtype=complex).copy()
+    out = [rho]
+    dt = grid.dt
+    for i in range(grid.n_steps):
+        t = grid.time_at(i)
+        k1 = liouvillian_terms(model, t, rho)
+        k2 = liouvillian_terms(model, t + 0.5 * dt, rho + 0.5 * dt * k1)
+        k3 = liouvillian_terms(model, t + 0.5 * dt, rho + 0.5 * dt * k2)
+        k4 = liouvillian_terms(model, t + dt, rho + dt * k3)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rho = 0.5 * (rho + np.swapaxes(rho.conj(), -1, -2))
+        out.append(rho)
+    return np.stack(out)
+
+
+def bloch_scan_norms(m: np.ndarray, c: np.ndarray, n_points: int = 4096) -> np.ndarray:
+    """Largest ||m v + c|| over the Fibonacci-sphere points v of each map of a stack,
+    each map's norms taken by ``np.linalg.norm`` over the image rows."""
+    pts = _fibonacci_sphere(n_points)
+    return np.array([np.linalg.norm(pts @ m[s].T + c[s], axis=1).max() for s in range(m.shape[0])])

@@ -40,10 +40,11 @@ def test_tracer_installs_and_uninstalls_over_the_package(monkeypatch):
         assert metrics["rng.generator_calls"] == metrics["engine.steps"]  # the model has no source
 
         # the map oracle integrates its whole operator basis in one RK4 run,
-        # evaluating the model once per stage, inside one traced report
+        # evaluating the generator at the 2n + 1 times of an n-step grid (start,
+        # then each step's midpoint and end), inside one traced report
         t.reset()
-        model.apply_liouvillian(0.0, np.zeros((4, 2, 2), dtype=complex))
-        evals_per_stage = t.collect()["model.eval_calls"]
+        model.generator_at(0.0)(np.zeros((4, 2, 2), dtype=complex))
+        evals_per_time = t.collect()["model.eval_calls"]
         t.reset()
         tn.divisibility.divisibility_report(model, grid)
         metrics = t.collect()
@@ -51,7 +52,7 @@ def test_tracer_installs_and_uninstalls_over_the_package(monkeypatch):
         spans = {name: int((sp["layer"] == i).sum()) for i, name in enumerate(sp["layer_names"])}
         assert spans["exact.integrate"] == spans["exact.propagate_map"] == spans["divisibility.report"] == 1
         assert metrics["exact.rk4_steps"] == grid.n_steps
-        assert metrics["model.eval_calls"] == 4 * grid.n_steps * evals_per_stage
+        assert metrics["model.eval_calls"] == (2 * grid.n_steps + 1) * evals_per_time
     finally:
         t.uninstall()
     for owner, attr, original in patched:
@@ -90,3 +91,36 @@ def test_a_traced_run_of_three_lanes_counts_one_step_per_time_step(monkeypatch):
     assert metrics["rng.generator_calls"] == 3 * metrics["engine.steps"]
     appended = sum(res.final_ensemble.next_id - ens.next_id for res, ens in zip(results, lanes))
     assert metrics["engine.spawned_rows"] == appended > 0
+
+
+def test_a_traced_run_of_lanes_with_multinomial_fallbacks_opens_one_stream_per_lane_and_step(monkeypatch):
+    # a lump with m * p > 32 falls back to the multinomial at every step, and
+    # objects of 400 draw more than three events now and then; each lane's
+    # fallbacks continue its stream without opening it again
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracer
+    import workloads
+
+    tn = workloads.import_tnpmc()
+    p = tn.model.pauli_ops()
+    model = tn.model.TnpModel(dim=2, hamiltonian=0.5 * p.x, channels=(tn.model.JumpChannel(1.0, p.minus),),
+                              gamma=np.eye(2, dtype=complex))
+    ket1 = np.array([0.0, 1.0], dtype=complex)
+    plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
+    lanes = [tn.ensemble.Ensemble.sample_initial([(0.5, ket1), (0.5, plus)], 800, seed=4),
+             tn.ensemble.Ensemble.sample_initial([(1.0, ket1)], 5000, seed=5),
+             tn.ensemble.Ensemble.sample_initial([(1.0, plus)], 30, seed=6, n_groups=3)]
+    grid = tn.exact.TimeGrid(0.0, 0.1, 1e-2)
+    t = tracer.Tracer()
+    try:
+        t.install(tn)
+        tn.mcwf.run(model, lanes, grid)
+        metrics = t.collect()
+        sp = t.spans()
+    finally:
+        t.uninstall()
+    assert metrics["engine.steps"] == grid.n_steps
+    assert metrics["rng.generator_calls"] == 3 * metrics["engine.steps"]
+    # one binomial pass per step splits the objects of every lane
+    binomial = list(sp["layer_names"]).index("rng.binomial")
+    assert int((sp["layer"] == binomial).sum()) == metrics["engine.steps"]

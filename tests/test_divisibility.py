@@ -13,11 +13,11 @@ from tnpmc import (
     max_bloch_norm,
     pauli_ops,
 )
-from tnpmc.divisibility import BlochAffine, ChoiState, is_negative
+from tnpmc.divisibility import BlochAffine, ChoiState, bloch_forms, is_negative, max_bloch_norms
 from tnpmc.errors import DimensionMismatch
-from tnpmc.exact import intermediate_map, propagate_map, vec
+from tnpmc.exact import intermediate_map, intermediate_matrices, propagate_map, vec
 
-from helpers import criterion_8_model, qubit_decay_model
+from helpers import bloch_scan_norms, criterion_8_model, qubit_decay_model
 
 P = pauli_ops()
 
@@ -163,6 +163,23 @@ def test_report_matches_per_interval_reference(adjoint):
     assert np.array_equal(report.times, times)
     assert np.abs(report.choi_eigenvalues - eigs).max() <= 1e-12
     assert np.abs(report.max_bloch_norms - norms).max() <= 1e-12
+
+
+def test_bloch_scan_is_byte_equal_to_the_row_norm_scan():
+    # without the ascent, max_bloch_norms is the scan: the largest norm over the
+    # sphere points, byte for byte that of np.linalg.norm over the image rows
+    rng = np.random.default_rng(5)
+    m = rng.normal(size=(300, 3, 3)) * rng.uniform(1e-3, 2.0, size=(300, 1, 1))
+    c = rng.normal(size=(300, 3)) * rng.uniform(0.0, 1.0, size=(300, 1))
+    c[:50] = 0.0
+    m[50:60] = np.eye(3)
+    # and the forms of the criterion-8 intermediate maps, as the report scans them
+    maps = np.stack([mp.matrix for mp in propagate_map(criterion_8_model(), TimeGrid(0.0, 0.05, 1e-3))])
+    fm, fc = bloch_forms(intermediate_matrices(maps[:-1], maps[1:], np.zeros(maps.shape[0] - 1)))
+    for mm, cc in ((m, c), (fm, fc)):
+        for n_points in (4096, 37):
+            got = max_bloch_norms(mm, cc, n_points=n_points, refine_steps=0)
+            assert got.tobytes() == bloch_scan_norms(mm, cc, n_points).tobytes()
 
 
 def test_report_bloch_norms_nan_beyond_qubits():

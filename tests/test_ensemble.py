@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from tnpmc import Ensemble, JumpChannel, TimeGrid, TnpModel, ensemble, mcwf, pauli_ops
-from tnpmc.engine import _build_snapshot
+from tnpmc import Ensemble, JumpChannel, TimeGrid, TnpModel, engine, ensemble, mcwf, pauli_ops
+from tnpmc.engine import _build_snapshot, _match_keys
 from tnpmc.ensemble import _run_starts, canonical_key_rows, largest_remainder
 from tnpmc.errors import EmptyDecomposition, InvalidParameter
 from tnpmc.model import SourceTerm
@@ -173,6 +173,40 @@ def test_count_snapshot():
     assert len(keys) == 2
     assert counts[obj_class[0]] == 7 and obj_class[0] == obj_class[1] != obj_class[2]
     assert np.allclose(sources[obj_class[0]], KET0) and counts[obj_class[2]] == 2
+
+
+@pytest.mark.parametrize("collide", [False, True], ids=["hash", "collision"])
+def test_snapshot_classes_and_host_matches_follow_the_lexicographic_keys(monkeypatch, collide):
+    # classes in lexicographic key order, each with its first row as source; hosts
+    # found by their key, -1 when absent, also when every key hashes to 0
+    if collide:
+        for module in (ensemble, engine):
+            monkeypatch.setattr(module, "_key_mix", lambda width: np.zeros(width, dtype=np.int64))
+    rng = np.random.default_rng(31)
+    for d, n in ((2, 300), (3, 120), (20, 60)):
+        ens = _duplicated_members(rng, d, n, n_groups=1)
+        keys, sources, counts, obj_class = _build_snapshot(ens.states, ens.mult)
+        rows = canonical_key_rows(ens.states)
+        order, starts = lexsort_run_starts(rows)
+        first = order[starts]
+        assert np.array_equal(keys, rows[first]) and len(keys) < n
+        assert sources.tobytes() == ens.states[first].tobytes()
+        assert np.array_equal(counts, np.add.reduceat(ens.mult[order], np.flatnonzero(starts)))
+        assert np.array_equal(keys[obj_class], rows)
+        members = ens.states[rng.integers(0, n, size=40)] * np.exp(1j * rng.uniform(0, 6.3, size=(40, 1)))
+        strangers = np.stack([random_state(rng, d) for _ in range(10)])
+        hosts = _match_keys(keys, np.concatenate([members, strangers]))
+        assert np.array_equal(keys[hosts[:40]], canonical_key_rows(members))
+        assert (hosts[40:] == -1).all()
+
+
+def test_a_candidate_that_shares_a_class_hash_is_no_host(monkeypatch):
+    # key rows given directly, hashed as the sum of their entries
+    monkeypatch.setattr(engine, "canonical_key_rows", np.asarray)
+    monkeypatch.setattr(engine, "_key_mix", lambda width: np.ones(width, dtype=np.int64))
+    keys = np.array([[0, 5], [1, 1], [2, 7]])  # hashes 5, 2 and 9
+    candidates = np.array([[1, 1], [3, 2], [2, 7], [5, 0], [4, 4], [0, 5]])
+    assert _match_keys(keys, candidates).tolist() == [1, -1, 2, -1, -1, 0]
 
 
 def test_group_observable_sums():

@@ -15,8 +15,11 @@ from tnpmc import (
 )
 from tnpmc.errors import InvalidParameter, NonFiniteState, SingularMap
 from tnpmc.exact import intermediate_matrices, vec
+from tnpmc.model import SourceTerm, TimeScalar
 
-from helpers import criterion_8_model, propagate_map_loop, qubit_decay_model, random_hermitian, random_tnp_model
+from helpers import (
+    criterion_8_model, propagate_map_loop, qubit_decay_model, random_hermitian, random_tnp_model, rk4_every_stage,
+)
 
 P = pauli_ops()
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -86,6 +89,30 @@ def test_integrate_stack_equals_separate_runs():
     for k in range(5):
         assert np.array_equal(traj.values[:, k], integrate(model, stack[k], grid).values)
     assert np.array_equal(traj.at(0.055), np.stack([integrate(model, x, grid).at(0.055) for x in stack]))
+
+
+def test_integrate_agrees_with_the_rk4_that_evaluates_every_stage():
+    # integrate evaluates the generator at 2n + 1 times in the K form; the oracle
+    # evaluates it four times per step term by term. A time-dependent Hamiltonian,
+    # rates, Gamma and source make every evaluation time count
+    rng = np.random.default_rng(81)
+    base = random_tnp_model(rng, 3)
+    h0, g0, s0 = base.hamiltonian_at(0.0), base.gamma_at(0.0), random_hermitian(rng, 3)
+    s0 = s0 @ s0  # positive
+    model = TnpModel(
+        dim=3,
+        hamiltonian=lambda t: np.cos(3.0 * t) * h0,
+        channels=tuple(JumpChannel(TimeScalar.sinusoid(0.4, 5.0, 0.3, ch.rate), ch.op) for ch in base.channels),
+        gamma=lambda t: (1.0 + 0.5 * np.sin(2.0 * t)) * g0,
+        source=SourceTerm(lambda t: np.exp(-t) * s0),
+    )
+    grid = TimeGrid(0.0, 0.7, 0.01)
+    stack = np.stack([random_hermitian(rng, 3) for _ in range(4)])
+    for rho0 in (stack[0], stack):
+        got = integrate(model, rho0, grid).values
+        want = rk4_every_stage(model, rho0, grid)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_interpolation_between_grid_values():

@@ -8,8 +8,9 @@ import pytest
 from tnpmc import Ensemble, JumpChannel, TimeGrid, TnpModel, mcwf, pauli_ops, ro
 from tnpmc.errors import InvalidParameter, NegativeProbability, NegativeSource, StepTooLarge
 from tnpmc.model import SourceTerm
+from tnpmc.rng import binomial_inverse
 
-from helpers import random_state, random_tnp_model
+from helpers import StepTable, first_uniforms, random_state, random_tnp_model
 
 P = pauli_ops()
 PROJ0 = P.minus @ P.plus
@@ -108,6 +109,53 @@ def test_lanes_of_random_models_match_separate_runs(dim, seed):
                                              seed=seed * 10 + 3))
     ensembles.append(Ensemble.sample_initial([(1.0, random_state(rng, dim))], 200, seed=seed * 10 + 4, n_groups=4))
     run_as_lanes(mcwf.run, model, ensembles, TimeGrid(0.0, 0.2, 1e-2), observables={"h": model.hamiltonian_at(0.0)})
+
+
+@pytest.mark.parametrize("runner", [mcwf.run, ro.run])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_one_row_lanes_between_multi_row_lanes_match_separate_runs(runner, dim):
+    # neighbouring multi-row lanes share their kernel calls; a one-row lane
+    # between them keeps its own, so every lane's rows stay byte-identical
+    rng = np.random.default_rng(90 + dim)
+    if dim == 2:
+        model, grid = branching_model(), TimeGrid(0.0, 0.2, 2e-3)
+        states = [KET1, PLUS, KET0, KET1]
+    else:
+        model, grid = random_tnp_model(rng, 3), TimeGrid(0.0, 0.3, 1e-2)
+        states = [random_state(rng, 3) for _ in range(4)]
+    ensembles = [
+        Ensemble.sample_initial([(0.6, states[0]), (0.4, states[1])], 300, seed=81, n_groups=3),
+        one_object(states[2], 1, seed=82),
+        Ensemble.sample_initial([(1.0, states[1]), (1.0, states[3])], 2, seed=83),
+        Ensemble.sample_initial([(1.0, states[3])], 100, seed=84, n_groups=2),
+        one_object(states[0], 1, seed=85),
+        one_object(states[3], 1, seed=86),
+        Ensemble.sample_initial([(0.5, states[2]), (0.5, states[0])], 50, seed=87),
+    ]
+    run_as_lanes(runner, model, ensembles, grid, record_every=5, observables={"z": np.diag(np.arange(dim) + 0j)})
+
+
+@pytest.mark.parametrize("runner, scheme", [(mcwf.run, mcwf.McwfScheme()), (ro.run, ro.RoScheme())])
+def test_two_lanes_fall_back_to_the_multinomial_in_one_step(runner, scheme):
+    # in the first step the object of lane 0 draws more than three events from
+    # its binomial and the lump of lane 2 has m * p > 32: both fall back to the
+    # multinomial, each continuing its own lane's stream after its uniforms
+    model, dt = branching_model(), 2e-3
+    table = StepTable(scheme, model, KET1, 0.0, dt)
+    p_ev = table.bins[0].sum() + table.p_d[0] + table.p_c[0]
+    seeds = np.arange(500)
+    k = binomial_inverse(np.full(seeds.size, 600), np.full(seeds.size, p_ev), first_uniforms(seeds))
+    seed = int(seeds[np.flatnonzero(k > 3)[0]])
+    assert 600 * p_ev <= 32.0 < 10_000 * p_ev
+    ensembles = [
+        one_object(KET1, 600, seed=seed),
+        Ensemble.sample_initial([(0.5, KET1), (0.5, PLUS)], 400, seed=92, n_groups=2),
+        one_object(KET1, 10_000, seed=93, n_ref=3000),
+    ]
+    ensembles[0]._append_members([(PLUS, 40, 0)])  # a second object after the fallback one
+    for grid in (TimeGrid(0.0, dt, dt), TimeGrid(0.0, 30 * dt, dt)):
+        joint = run_as_lanes(runner, model, ensembles, grid)
+    assert joint[0].final_ensemble.size > 2 and joint[2].final_ensemble.size > 1
 
 
 def test_lanes_with_a_source_match_separate_runs():

@@ -5,7 +5,7 @@ from tnpmc import JumpChannel, TimeScalar, TnpModel, boson_ops, heisenberg_qubit
 from tnpmc.errors import DimensionMismatch, InvalidParameter, NonHermitianInput
 from tnpmc.model import matrix_from_json, matrix_to_json, model_from_dict, time_scalar_from_json
 
-from helpers import qubit_decay_model, random_hermitian, random_tnp_model
+from helpers import liouvillian_terms, qubit_decay_model, random_hermitian, random_tnp_model
 
 P = pauli_ops()
 PROJ1 = P.plus @ P.minus
@@ -87,6 +87,35 @@ def test_apply_liouvillian_on_a_stack_equals_separate_calls():
     for bad in (np.zeros((4, 3, 2)), np.zeros((4, 2, 3)), np.zeros(3), np.zeros((2, 2))):
         with pytest.raises(DimensionMismatch):
             m.apply_liouvillian(0.4, bad)
+
+
+def test_generator_at_evaluates_the_model_once_and_matches_the_terms():
+    # H, every rate, Gamma and the source are called once per generator_at, however
+    # often the generator is applied; the K form equals the term-by-term generator
+    rng = np.random.default_rng(22)
+    base = random_tnp_model(rng, 3)
+    src = random_hermitian(rng, 3)
+    calls = []
+
+    def counted(name, value):
+        def fn(t):
+            calls.append(name)
+            return (1.0 + t) * value
+        return fn
+
+    channels = tuple(JumpChannel(counted(f"rate{j}", ch.rate_at(0.0)), ch.op) for j, ch in enumerate(base.channels))
+    m = TnpModel(dim=3, hamiltonian=counted("h", base.hamiltonian_at(0.0)), channels=channels,
+                 gamma=counted("gamma", base.gamma_at(0.0)),
+                 source=__import__("tnpmc").SourceTerm(counted("source", src @ src)))
+    calls.clear()
+    generator = m.generator_at(0.3)
+    stack = np.stack([random_hermitian(rng, 3) + 1j * random_hermitian(rng, 3) for _ in range(4)])
+    got = [generator(stack), generator(stack[1])]
+    assert sorted(calls) == ["gamma", "h", "rate0", "rate1", "source"]
+    want = liouvillian_terms(m, 0.3, stack)
+    assert np.abs(got[0] - want).max() <= 1e-14 * np.abs(want).max()
+    assert np.array_equal(got[1], got[0][1])
+    assert np.array_equal(m.apply_liouvillian(0.3, stack), got[0])
 
 
 def test_trace_derivative():

@@ -9,13 +9,9 @@ rates) can be simulated as averages over piecewise-deterministic realizations.
 __version__ = "0.1.0"
 
 from .divisibility import (
-    BlochAffine,
-    ChoiState,
     DivisibilityReport,
-    bloch_affine,
     choi_eigenvalues,
     divisibility_report,
-    max_bloch_norm,
 )
 from .ensemble import Ensemble
 from .engine import RunResult
@@ -25,7 +21,6 @@ from .exact import (
     OperatorTrajectory,
     TimeGrid,
     integrate,
-    intermediate_map,
     propagate_map,
     solve_hierarchy,
 )

@@ -12,21 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
 from .exact import DynamicalMap, TimeGrid, intermediate_matrices, propagate_map
 from .model import TnpModel, pauli_ops
-
-NEGATIVITY_REL_TOL = 1e-8  # eigenvalue counts as negative below -tol * spectral range
-
-
-@dataclass(frozen=True)
-class ChoiState:
-    matrix: np.ndarray  # (d^2, d^2) Hermitian, normalized by 1/d
-    interval: tuple[float, float]
-
-    @staticmethod
-    def from_map(dynmap: DynamicalMap, interval: tuple[float, float] = (0.0, 0.0)) -> "ChoiState":
-        return ChoiState(matrix=choi_matrices(dynmap.matrix[None], dynmap.dim)[0], interval=interval)
 
 
 def choi_matrices(maps: np.ndarray, d: int) -> np.ndarray:
@@ -41,28 +28,7 @@ def choi_matrices(maps: np.ndarray, d: int) -> np.ndarray:
 
 def choi_eigenvalues(dynmap: DynamicalMap) -> np.ndarray:
     """Ascending eigenvalues of the normalized Choi state of the map."""
-    return np.linalg.eigvalsh(ChoiState.from_map(dynmap).matrix)
-
-
-def is_negative(eigenvalues: np.ndarray) -> bool:
-    """True when the smallest eigenvalue is negative beyond eigensolver noise."""
-    spread = float(eigenvalues.max() - eigenvalues.min())
-    return float(eigenvalues.min()) < -NEGATIVITY_REL_TOL * max(spread, 1.0)
-
-
-@dataclass(frozen=True)
-class BlochAffine:
-    """Qubit map in Bloch form: r -> m r + c."""
-
-    m: np.ndarray
-    c: np.ndarray
-
-    @staticmethod
-    def from_map(dynmap: DynamicalMap) -> "BlochAffine":
-        if dynmap.dim != 2:
-            raise DimensionMismatch(f"Bloch representation requires d = 2, got {dynmap.dim}")
-        m, c = bloch_forms(dynmap.matrix[None])
-        return BlochAffine(m=m[0], c=c[0])
+    return np.linalg.eigvalsh(choi_matrices(dynmap.matrix[None], dynmap.dim)[0])
 
 
 def bloch_forms(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -76,11 +42,6 @@ def bloch_forms(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return forms[:, 1:, 1:], forms[:, 1:, 0]
 
 
-def bloch_affine(dynmap: DynamicalMap) -> BlochAffine:
-    """Affine Bloch form of a qubit map: m_ab = tr[s_a L[s_b]]/2, c_a = tr[s_a L[1]]/2."""
-    return BlochAffine.from_map(dynmap)
-
-
 def _fibonacci_sphere(n: int) -> np.ndarray:
     idx = np.arange(n)
     golden = np.pi * (3.0 - np.sqrt(5.0))
@@ -90,21 +51,14 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
     return np.stack([r * np.cos(theta), r * np.sin(theta), z], axis=1)
 
 
-def max_bloch_norm(ba: BlochAffine, n_points: int = 4096, refine_steps: int = 20) -> float:
-    """max over unit vectors v of ||m v + c||.
-
-    Fibonacci-sphere scan followed by projected gradient ascent with
-    backtracking; accurate to ~1e-4 on smooth maps.
-    """
-    return float(max_bloch_norms(ba.m[None], ba.c[None], n_points, refine_steps)[0])
-
-
 def max_bloch_norms(m: np.ndarray, c: np.ndarray, n_points: int = 4096, refine_steps: int = 20) -> np.ndarray:
-    """:func:`max_bloch_norm` of every affine map r -> m[k] r + c[k] of a stack.
+    """max over unit vectors v of ||m[k] v + c[k]|| for every affine map r -> m[k] r + c[k] of a stack.
 
-    The scan runs one map at a time, which keeps its memory at one
-    (3, n_points) block; the ascent runs on all maps at once, and a map stops
-    moving when its image or its tangent gradient vanishes.
+    A Fibonacci-sphere scan followed by projected gradient ascent with
+    backtracking; accurate to ~1e-4 on smooth maps. The scan runs one map at
+    a time, which keeps its memory at one (3, n_points) block; the ascent runs
+    on all maps at once, and a map stops moving when its image or its tangent
+    gradient vanishes.
     """
     pts = _fibonacci_sphere(n_points).T.copy()  # (3, n_points): the image rows are its coordinates
     k = m.shape[0]

@@ -11,17 +11,19 @@ source creations included, are applied at the end-of-step barrier in object
 order, so results are bit-identical given ``(config, seed)``, and the count
 ledger is checked after every change.
 
-Several ensembles that share the grid can advance as lanes of one run, under
-one shared model, which is evaluated once per step for all of them, or under
-one model per lane. Each lane keeps its own rows, streams and counters, so
-its result is byte-identical to a run of that ensemble alone; lanes under one
-model share the kernel calls of their multi-row blocks and one binomial pass.
+Several ensembles that share the grid advance as lanes of one run, each lane
+under its own model; a shared model is the same object in every lane. Each
+lane keeps its own rows, streams and counters, so its result is
+byte-identical to a run of that ensemble alone. A model is evaluated once per
+step for all its lanes, neighbouring multi-row lanes of one model share their
+kernel calls, and one binomial pass covers every lane.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -143,8 +145,8 @@ def run(
     dt = grid.dt
     n_rec = grid.n_steps // record_every + 1
     series = [_Series(e, n_rec, observables, record_distinct) for e in lanes.inputs]
-    has_source = any(m.source is not None for m in lanes.models)
-    shared = isinstance(lanes.model, TnpModel)
+    distinct = list({id(m): m for m in lanes.models}.values())
+    has_source = any(m.source is not None for m in distinct)
 
     def record():
         for s, lane in zip(series, lanes.views(ens)):
@@ -153,13 +155,13 @@ def run(
     record()
     for step in range(grid.n_steps):
         t = grid.time_at(step)
-        _advance_step(lanes.model, ens, scheme, t, dt, reverse_jumps, lanes, jump_mass_limit)
+        _advance_step(lanes, ens, scheme, t, dt, reverse_jumps, jump_mass_limit)
         if has_source:
             k = step % SOURCE_BLOCK
-            if k == 0:  # the source spectra of a block of steps: of the shared model, or of each lane's
-                spectra = [_source_spectra(m, grid, step) for m in lanes.models]
-            eig = spectra[0][k] if shared else [None if s is None else s[k] for s in spectra]
-            _apply_source(ens, lanes, eig, t, dt)
+            if k == 0:  # the source spectra of a block of steps, once per model
+                spectra = {id(m): _source_spectra(m, grid, step) for m in distinct}
+            eigs = [None if spectra[id(m)] is None else spectra[id(m)][k] for m in lanes.models]
+            _apply_source(ens, lanes, eigs, t, dt)
         ens.steps += 1
         lanes.steps = [s + 1 for s in lanes.steps]
         if merge:
@@ -176,33 +178,28 @@ class _Lanes:
     """Ensembles advanced together, stored as contiguous blocks of rows of one
     working ensemble, each block in its own ensemble's row order.
 
-    Every lane keeps its own seed, step counter, id counter, reference count
-    and groups. Group ids are offset per lane, so one merge of the working
-    ensemble never joins rows of two lanes, and new rows go to the end of
-    their lane. A run of one ensemble works on a plain copy of it.
+    Every lane keeps its own model, seed, step counter, row counter,
+    reference count and groups. Group ids are offset per lane, so one merge
+    of the working ensemble never joins rows of two lanes, and new rows go to
+    the end of their lane.
 
-    ``model`` is the model every lane shares (its step context is prepared
-    once per step), or one model per lane; ``models`` lists the distinct
-    models in lane order: the shared one, or one per lane.
+    ``model`` is one model for every lane, which ``models`` then repeats, or
+    a sequence of one model per lane.
     """
 
-    def __init__(self, ensembles: list[Ensemble], model=None):
+    def __init__(self, ensembles: list[Ensemble], model):
         if not ensembles:
             raise InvalidParameter("no ensemble to run")
         self.n = len(ensembles)
-        if model is None or isinstance(model, TnpModel):
-            self.model = model
-        else:
-            model = list(model)
-            if len(model) != self.n:
-                raise InvalidParameter(f"{len(model)} models for {self.n} ensembles; give one, or one per ensemble")
-            self.model = model[0] if all(m is model[0] for m in model) else model
-        self.models = [self.model] if isinstance(self.model, TnpModel) else list(self.model or ())
+        self.models = list(model) if isinstance(model, Iterable) else [model] * self.n
+        if len(self.models) != self.n:
+            raise InvalidParameter(f"{len(self.models)} models for {self.n} ensembles; give one, or one per ensemble")
         dims = [e.dim for e in ensembles] + [m.dim for m in self.models]
         if len(set(dims)) > 1:
             raise InvalidParameter(f"ensembles and models of one run need one dimension, got {dims}")
         self.inputs = ensembles
-        self.goff = np.cumsum([0] + [e.n_groups for e in ensembles])
+        # the first group id of each lane, then the number of groups of all lanes
+        self.goff = np.cumsum([0] + [e.n_groups for e in ensembles]).tolist()
         self.steps = [e.steps for e in ensembles]
         self.next_id = [e.next_id for e in ensembles]
         self.step_keys = [stream_key(e.seed, STEP_STREAM_TAG) for e in ensembles]
@@ -210,10 +207,8 @@ class _Lanes:
 
     def join(self) -> Ensemble:
         """A working copy holding the rows of every lane, group ids offset per lane."""
-        if self.n == 1:
-            return self.inputs[0].copy()
         first = self.inputs[0]  # its header stands in for the lanes', which the lanes keep
-        ens = Ensemble(first.dim, first.n_ref, first.seed, first.time, int(self.goff[-1]))
+        ens = Ensemble(first.dim, first.n_ref, first.seed, first.time, self.goff[-1])
         for name in Ensemble._FIELDS:
             setattr(ens, name, np.concatenate([getattr(e, name) for e in self.inputs]))
         ens.group = ens.group + np.repeat(self.goff[:-1], [e.size for e in self.inputs])
@@ -223,22 +218,16 @@ class _Lanes:
 
     def bounds(self, ens: Ensemble) -> list[int]:
         """First row of each lane in the working ensemble, then its size."""
-        if self.n == 1:
-            return [0, ens.size]
-        lane = np.searchsorted(self.goff[1:-1], ens.group, side="right")
-        return [0] + np.cumsum(np.bincount(lane, minlength=self.n)).tolist()
+        return [0] + [int(np.count_nonzero(ens.group < g)) for g in self.goff[1:-1]] + [ens.size]
 
     def views(self, ens: Ensemble) -> list[Ensemble]:
-        """The rows and counters of each lane as an ensemble of its own; a run of
-        one ensemble records straight from its working copy."""
-        if self.n == 1:
-            return [ens]
+        """The rows and counters of each lane as an ensemble of its own."""
         bounds = self.bounds(ens)
         out = []
         for lane, e in enumerate(self.inputs):
             rows = slice(bounds[lane], bounds[lane + 1])
             view = Ensemble(e.dim, e.n_ref, e.seed, ens.time, e.n_groups)
-            view.states, view.mult, view.ids = ens.states[rows], ens.mult[rows], ens.ids[rows]
+            view.states, view.mult = ens.states[rows], ens.mult[rows]
             view.group = ens.group[rows] - self.goff[lane]
             view.next_id, view.steps = self.next_id[lane], self.steps[lane]
             out.append(view)
@@ -252,12 +241,11 @@ class _Lanes:
         return f"lane {lane} object {i - bounds[lane]}", self.steps[lane]
 
     def append(self, ens: Ensemble, bounds: list[int], sizes: list[int], states, mult, group) -> None:
-        """Put new rows at the end of their lanes with fresh ids of their lane: the
-        first ``sizes[0]`` rows go to lane 0, the next ``sizes[1]`` to lane 1, ..."""
-        ids = [np.arange(first, first + size, dtype=np.uint64) for first, size in zip(self.next_id, sizes) if size]
+        """Put new rows at the end of their lanes, counted by their lane's row counter:
+        the first ``sizes[0]`` rows go to lane 0, the next ``sizes[1]`` to lane 1, ..."""
         self.next_id = [first + size for first, size in zip(self.next_id, sizes)]
         ens.next_id += sum(sizes)
-        ens._insert_rows(bounds[1:], sizes, states, mult, group, ids[0] if len(ids) == 1 else np.concatenate(ids))
+        ens._insert_rows(bounds[1:], sizes, states, mult, group)
 
 
 class _Series:
@@ -302,35 +290,36 @@ class _Series:
         )
 
 
-def _kernel_blocks(model, scheme, t, dt, spans):
+def _kernel_blocks(lanes, scheme, t, dt, spans):
     """The blocks of rows the kernels run on, as (step context, first row, end row).
 
-    Under one shared model, each run of neighbouring lanes of two or more rows
-    is one block, and a lane of one row is a block of its own: numpy multiplies
-    a single row through gemv, whose last bit may differ from the same row
-    inside a gemm. Under one model per lane, each lane is a block with its own
-    context. A kernel may leave per-row data in its block's context (the
-    rate-operator eigenvectors), so every block has a context of its own.
+    Each run of neighbouring lanes of two or more rows under one model object
+    is one block, and a lane of one row is a block of its own: numpy
+    multiplies a single row through gemv, whose last bit may differ from the
+    same row inside a gemm. The step context is prepared once per model of the
+    lanes with rows. A kernel may leave per-row data in its block's context
+    (the rate-operator eigenvectors), so every block has a copy of its own.
     """
-    if not isinstance(model, TnpModel):
-        return [(scheme.prepare(model[lane], t, dt), lo, hi) for lane, lo, hi in spans]
-    runs = []
-    for _, lo, hi in spans:
-        if hi - lo > 1 and runs and runs[-1][1] - runs[-1][0] > 1:
-            runs[-1][1] = hi
+    contexts, blocks = {}, []  # blocks: [model, first row, end row]
+    for lane, lo, hi in spans:
+        model = lanes.models[lane]
+        if id(model) not in contexts:
+            contexts[id(model)] = scheme.prepare(model, t, dt)
+        last = blocks[-1] if blocks else None
+        if hi - lo > 1 and last and last[0] is model and last[2] - last[1] > 1:
+            last[2] = hi
         else:
-            runs.append([lo, hi])
-    shared = scheme.prepare(model, t, dt)
-    return [(shared if len(runs) == 1 else dict(shared), lo, hi) for lo, hi in runs]
+            blocks.append([model, lo, hi])
+    return [(dict(contexts[id(model)]), lo, hi) for model, lo, hi in blocks]
 
 
-def _advance_step(model, ens, scheme, t, dt, reverse_jumps, lanes, jump_mass_limit=JUMP_MASS_LIMIT):
+def _advance_step(lanes, ens, scheme, t, dt, reverse_jumps, jump_mass_limit=JUMP_MASS_LIMIT):
     """Draw one outcome per realization and apply all of them at the barrier.
 
-    ``model`` is the model every lane shares, which is evaluated once for all
-    of them, or a list of one model per lane. The kernels run once per block
-    of rows (:func:`_kernel_blocks`). Each lane draws from the stream of its
-    seed at its step counter: four uniforms per object
+    ``lanes`` holds the rows and the model of every lane of the working
+    ensemble ``ens``; each model is evaluated once for all its lanes. The
+    kernels run once per block of rows (:func:`_kernel_blocks`). Each lane
+    draws from the stream of its seed at its step counter: four uniforms per object
     (``batched_uniform_words``), then the multinomial fallbacks in object
     order. One ``binomial_inverse`` pass splits the counts of the objects of
     every lane.
@@ -346,7 +335,7 @@ def _advance_step(model, ens, scheme, t, dt, reverse_jumps, lanes, jump_mass_lim
     states, mult = ens.states, ens.mult
     bounds = lanes.bounds(ens)
     spans = [(lane, lo, hi) for lane, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])) if hi > lo]
-    blocks = _kernel_blocks(model, scheme, t, dt, spans)
+    blocks = _kernel_blocks(lanes, scheme, t, dt, spans)
     ctx = blocks[0][0]  # the guard tolerance of the scheme; a run with reverse jumps has one lane
     parts = [
         (scheme.jump_bins(c, states[lo:hi]), scheme.det_states(c, states[lo:hi]), scheme.x_values(c, states[lo:hi]))
@@ -515,7 +504,8 @@ def _advance_step(model, ens, scheme, t, dt, reverse_jumps, lanes, jump_mass_lim
         if len(spawned) > 1:
             order = np.argsort(parents, kind="stable")
             parents, new_states, new_counts = parents[order], new_states[order], new_counts[order]
-        sizes = [parents.size] if lanes.n == 1 else np.diff(np.searchsorted(parents, bounds)).tolist()
+        ends = [int(np.count_nonzero(parents < b)) for b in bounds[1:-1]] + [parents.size]
+        sizes = [hi - lo for lo, hi in zip([0] + ends, ends)]
         lanes.append(ens, bounds, sizes, new_states, new_counts, ens.group[parents])
     ens.drop_empty()
     # jumps and reverse jumps move realizations; only the vanish/replicate bin changes the total
@@ -561,14 +551,13 @@ def _source_spectra(model, grid, first):
     return hermitian_eig(s, tol=1e-8 * np.maximum(1.0, np.abs(s).max(axis=(1, 2))))
 
 
-def _apply_source(ens, lanes, eig, t, dt):
+def _apply_source(ens, lanes, eigs, t, dt):
     """Poisson creations in the eigenstates of the step's source, drawn per lane and
-    put at the end of the lane. ``eig`` is the source spectrum every lane shares,
-    or a list of one per lane, None for a lane without a source."""
-    eigs = eig if isinstance(eig, list) else [eig] * lanes.n
+    put at the end of the lane. ``eigs`` holds the source spectrum of each lane,
+    None for a lane without a source."""
     for lane, spectrum in enumerate(eigs):
         if spectrum is not None and float(spectrum.values.min()) < -NEG_SOURCE_TOL:
-            where = f"lane {lane}: " if isinstance(eig, list) and lanes.n > 1 else ""
+            where = f"lane {lane}: " if lanes.n > 1 else ""
             raise NegativeSource(
                 f"{where}source eigenvalue {spectrum.values.min():.3e} below -{NEG_SOURCE_TOL} at t = {t:.6g}"
             )
@@ -583,7 +572,7 @@ def _apply_source(ens, lanes, eig, t, dt):
         # keyed by the lane's own step count, which a checkpoint carries across a resume
         gen = make_generator(*lanes.src_keys[lane], lanes.steps[lane])
         copies = gen.poisson(vals[created] * e.n_ref * dt)
-        g0 = int(lanes.goff[lane])
+        g0 = lanes.goff[lane]
         start = len(rows)
         for i, c in zip(created[copies > 0], copies[copies > 0]):
             state = spectrum.vectors[:, i]

@@ -3,7 +3,7 @@
 The ensemble is stored as parallel per-member arrays (``_FIELDS``) so the
 stepping engine can batch linear algebra across all members. Total counts may
 grow or shrink during a run; the fixed reference count ``n_ref`` normalizes
-the ensemble average. Members carry no random-stream state: the engine
+the ensemble average. Members carry no ids and no random-stream state: the engine
 draws each step from one stream keyed by ``seed`` and the step counter
 ``steps``.
 """
@@ -101,7 +101,7 @@ def _run_starts(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class Ensemble:
     # per-member arrays, all indexed by member
-    _FIELDS = ("states", "mult", "group", "ids")
+    _FIELDS = ("states", "mult", "group")
 
     def __init__(self, dim: int, n_ref: int, seed: int, time: float = 0.0, n_groups: int = 1):
         if n_ref < 1:
@@ -116,8 +116,7 @@ class Ensemble:
         self.states = np.zeros((0, dim), dtype=complex)
         self.mult = np.zeros(0, dtype=np.int64)
         self.group = np.zeros(0, dtype=np.int64)
-        self.ids = np.zeros(0, dtype=np.uint64)
-        self.next_id = 0  # members ever appended; the next member's id
+        self.next_id = 0  # members ever appended
         self.steps = 0  # engine steps taken; the counter of the per-step streams
 
     # -- construction -------------------------------------------------------
@@ -165,23 +164,20 @@ class Ensemble:
         return ens
 
     def _append_members(self, rows: Sequence[tuple[np.ndarray, int, int]]) -> None:
-        """Append (state, multiplicity, group) members with fresh ids."""
+        """Append (state, multiplicity, group) members."""
         if not rows:
             return
         self._append_rows(np.stack([r[0] for r in rows]), [r[1] for r in rows], [r[2] for r in rows])
 
     def _append_rows(self, states, mult, group) -> None:
-        """Append members with fresh ids."""
-        n_new = len(mult)
-        ids = np.arange(self.next_id, self.next_id + n_new, dtype=np.uint64)
-        self.next_id += n_new
-        self._insert_rows([self.size], [n_new], states, mult, group, ids)
+        """Append members at the end."""
+        self.next_id += len(mult)
+        self._insert_rows([self.size], [len(mult)], states, mult, group)
 
-    def _insert_rows(self, ends, sizes, states, mult, group, ids) -> None:
+    def _insert_rows(self, ends, sizes, states, mult, group) -> None:
         """Insert members in blocks, the ``sizes[b]`` members of block b before the
-        current member ``ends[b]`` (``ends`` non-decreasing); ids are the caller's."""
-        new = (states, np.asarray(mult, dtype=np.int64), np.asarray(group, dtype=np.int64),
-               np.asarray(ids, dtype=np.uint64))
+        current member ``ends[b]`` (``ends`` non-decreasing)."""
+        new = (states, np.asarray(mult, dtype=np.int64), np.asarray(group, dtype=np.int64))
         cuts, first = [], 0  # (current member it goes before, first and end new member) of each nonempty block
         for end, size in zip(ends, sizes):
             if size:
@@ -245,18 +241,12 @@ class Ensemble:
         out.steps = self.steps
         return out
 
-    def merge_duplicates(self) -> "Ensemble":
+    def _merge_in_place(self) -> None:
         """Merge members with equal canonical key within the same group.
 
-        The surviving member keeps the id of the first occurrence in array
-        order; multiplicities are summed. The ensemble average is
-        unchanged up to the key quantum.
+        The first occurrence in array order survives with the summed
+        multiplicity; the ensemble average is unchanged up to the key quantum.
         """
-        out = self.copy()
-        out._merge_in_place()
-        return out
-
-    def _merge_in_place(self) -> None:
         if self.size <= 1:
             return
         rows = canonical_key_rows(self.states)
@@ -284,9 +274,9 @@ class Ensemble:
     def to_jsonl(self, path) -> None:
         """JSON-lines checkpoint: a header record, then one member per line.
 
-        The step counter, which keys the random streams, and the id counter
-        are stored, so a run resumed from the checkpoint continues bit for
-        bit.
+        The step counter, which keys the random streams, and the member
+        counter are stored, so a run resumed from the checkpoint continues
+        bit for bit. Members carry no ids; a file that has them still loads.
         """
         with open(path, "w", encoding="utf-8") as fh:
             header = {
@@ -301,7 +291,6 @@ class Ensemble:
             fh.write(json.dumps(header) + "\n")
             for i in range(self.size):
                 rec = {
-                    "id": int(self.ids[i]),
                     "multiplicity": int(self.mult[i]),
                     "group": int(self.group[i]),
                     "amplitudes": [[float(z.real), float(z.imag)] for z in self.states[i]],
@@ -314,7 +303,7 @@ class Ensemble:
         with open(path, "r", encoding="utf-8") as fh:
             header = json.loads(fh.readline())
             records = [json.loads(line) for line in fh]
-        member_keys = ("id", "multiplicity", "group", "amplitudes")
+        member_keys = ("multiplicity", "group", "amplitudes")
         missing = [k for k in ("next_id", "steps") if k not in header]
         missing += [k for k in member_keys if any(k not in rec for rec in records)]
         if missing:
@@ -330,7 +319,6 @@ class Ensemble:
             ens.states = np.array([[complex(re, im) for re, im in r["amplitudes"]] for r in records])
             ens.mult = np.array([r["multiplicity"] for r in records], dtype=np.int64)
             ens.group = np.array([r["group"] for r in records], dtype=np.int64)
-            ens.ids = np.array([r["id"] for r in records], dtype=np.uint64)
         ens.next_id = header["next_id"]
         ens.steps = header["steps"]
         return ens

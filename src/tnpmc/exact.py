@@ -209,11 +209,3 @@ def intermediate_matrices(start: np.ndarray, end: np.ndarray, start_times: np.nd
         k = int(np.argmax(bad))
         raise SingularMap(f"Lambda at t = {start_times[k]:.6g} has condition number {cond[k]:.3e}")
     return end @ np.linalg.inv(start)
-
-
-def intermediate_map(maps: list[DynamicalMap], s: int, t: int) -> DynamicalMap:
-    """Lambda_{t,s} = Lambda_t Lambda_s^{-1} from precomputed grid maps."""
-    ms = maps[s]
-    mt = maps[t]
-    matrix = intermediate_matrices(ms.matrix[None], mt.matrix[None], np.array([ms.time]))[0]
-    return DynamicalMap(dim=ms.dim, matrix=matrix, time=mt.time)

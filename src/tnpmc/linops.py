@@ -17,10 +17,6 @@ HERMITIAN_TOL = 1e-10
 WEIGHT_TOL = 1e-12
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
-
-
 def herm_deviation(a: np.ndarray):
     """Max-norm distance of ``a`` from its Hermitian part: a float for one
     matrix (d, d), one value per matrix for a stack (m, d, d)."""

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParameter, NonHermitianInput
+from .errors import DimensionMismatch, InvalidParameter
 from .linops import assert_hermitian
 
 LINDBLAD = "lindblad"
@@ -74,8 +74,6 @@ RateLike = Union[TimeScalar, float, int, Callable[[float], float]]
 
 
 def rate_value(rate: RateLike, t: float) -> float:
-    if isinstance(rate, TimeScalar):
-        return float(rate(t))
     if callable(rate):
         return float(rate(t))
     return float(rate)

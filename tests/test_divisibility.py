@@ -6,16 +6,13 @@ from tnpmc import (
     TimeGrid,
     TimeScalar,
     TnpModel,
-    bloch_affine,
     choi_eigenvalues,
     divisibility_report,
     heisenberg_qubit,
-    max_bloch_norm,
     pauli_ops,
 )
-from tnpmc.divisibility import BlochAffine, ChoiState, bloch_forms, is_negative, max_bloch_norms
-from tnpmc.errors import DimensionMismatch
-from tnpmc.exact import intermediate_map, intermediate_matrices, propagate_map, vec
+from tnpmc.divisibility import bloch_forms, choi_matrices, max_bloch_norms
+from tnpmc.exact import intermediate_matrices, propagate_map, vec
 
 from helpers import bloch_scan_norms, criterion_8_model, qubit_decay_model
 
@@ -36,6 +33,16 @@ def unitary_map(theta):
     return DynamicalMap(dim=2, matrix=np.kron(u.conj(), u), time=0.0)
 
 
+def bloch_form(dynmap):
+    """(m, c) of one qubit map."""
+    m, c = bloch_forms(dynmap.matrix[None])
+    return m[0], c[0]
+
+
+def max_bloch_norm(m, c):
+    return float(max_bloch_norms(np.asarray(m)[None], np.asarray(c)[None])[0])
+
+
 def test_choi_identity():
     eigs = choi_eigenvalues(identity_map())
     assert np.allclose(eigs, [0.0, 0.0, 0.0, 1.0], atol=1e-12)
@@ -47,9 +54,9 @@ def test_choi_depolarizing():
 
 
 def test_choi_state_hermitian_unit_trace():
-    choi = ChoiState.from_map(unitary_map(0.7))
-    assert np.abs(choi.matrix - choi.matrix.conj().T).max() <= 1e-12
-    assert np.trace(choi.matrix).real == pytest.approx(1.0)
+    choi = choi_matrices(unitary_map(0.7).matrix[None], 2)[0]
+    assert np.abs(choi - choi.conj().T).max() <= 1e-12
+    assert np.trace(choi).real == pytest.approx(1.0)
 
 
 def random_map(rng, d):
@@ -67,29 +74,29 @@ def test_choi_and_bloch_match_their_definitions():
                 e = np.zeros((d, d), dtype=complex)
                 e[a, b] = 1.0
                 j += np.kron(dynmap.apply(e), e) / d
-        assert np.abs(ChoiState.from_map(dynmap).matrix - 0.5 * (j + j.conj().T)).max() <= 1e-14
+        assert np.abs(choi_matrices(dynmap.matrix[None], d)[0] - 0.5 * (j + j.conj().T)).max() <= 1e-14
     dynmap = random_map(rng, 2)
     paulis = (P.x, P.y, P.z)
-    ba = BlochAffine.from_map(dynmap)
+    m, c = bloch_form(dynmap)
     for a in range(3):
-        assert ba.c[a] == pytest.approx(0.5 * np.trace(paulis[a] @ dynmap.apply(P.identity)).real, abs=1e-14)
+        assert c[a] == pytest.approx(0.5 * np.trace(paulis[a] @ dynmap.apply(P.identity)).real, abs=1e-14)
         for b in range(3):
             want = 0.5 * np.trace(paulis[a] @ dynmap.apply(paulis[b])).real
-            assert ba.m[a, b] == pytest.approx(want, abs=1e-14)
+            assert m[a, b] == pytest.approx(want, abs=1e-14)
 
 
 def test_bloch_identity_and_depolarizing():
-    ba = bloch_affine(identity_map())
-    assert np.allclose(ba.m, np.eye(3), atol=1e-12)
-    assert np.abs(ba.c).max() <= 1e-12
-    ba = bloch_affine(depolarizing_map())
-    assert np.abs(ba.m).max() <= 1e-12
-    assert np.abs(ba.c).max() <= 1e-12
+    m, c = bloch_form(identity_map())
+    assert np.allclose(m, np.eye(3), atol=1e-12)
+    assert np.abs(c).max() <= 1e-12
+    m, c = bloch_form(depolarizing_map())
+    assert np.abs(m).max() <= 1e-12
+    assert np.abs(c).max() <= 1e-12
 
 
 def test_bloch_rotation():
     theta = 0.6
-    ba = bloch_affine(unitary_map(theta))
+    m, _ = bloch_form(unitary_map(theta))
     expected = np.array(
         [
             [np.cos(theta), -np.sin(theta), 0.0],
@@ -97,21 +104,13 @@ def test_bloch_rotation():
             [0.0, 0.0, 1.0],
         ]
     )
-    assert np.abs(ba.m - expected).max() <= 1e-8
-
-
-def test_bloch_requires_qubit():
-    with pytest.raises(DimensionMismatch):
-        bloch_affine(identity_map(d=3))
+    assert np.abs(m - expected).max() <= 1e-8
 
 
 def test_max_bloch_norm_examples():
-    assert max_bloch_norm(BlochAffine(np.eye(3), np.zeros(3))) == pytest.approx(1.0, abs=1e-9)
-    assert max_bloch_norm(BlochAffine(np.diag([1.1, 1.0, 1.0]), np.zeros(3))) == pytest.approx(
-        1.1, abs=1e-4
-    )
-    ba = BlochAffine(0.5 * np.eye(3), np.array([0.6, 0.0, 0.0]))
-    assert max_bloch_norm(ba) == pytest.approx(1.1, abs=1e-4)
+    assert max_bloch_norm(np.eye(3), np.zeros(3)) == pytest.approx(1.0, abs=1e-9)
+    assert max_bloch_norm(np.diag([1.1, 1.0, 1.0]), np.zeros(3)) == pytest.approx(1.1, abs=1e-4)
+    assert max_bloch_norm(0.5 * np.eye(3), np.array([0.6, 0.0, 0.0])) == pytest.approx(1.1, abs=1e-4)
 
 
 def test_max_bloch_norm_random_oracle():
@@ -119,13 +118,8 @@ def test_max_bloch_norm_random_oracle():
     rng = np.random.default_rng(4)
     for _ in range(5):
         m = rng.normal(size=(3, 3))
-        got = max_bloch_norm(BlochAffine(m, np.zeros(3)))
+        got = max_bloch_norm(m, np.zeros(3))
         assert got == pytest.approx(np.linalg.svd(m, compute_uv=False)[0], abs=1e-4)
-
-
-def test_is_negative_threshold():
-    assert not is_negative(np.array([-1e-9, 0.5, 0.5]))
-    assert is_negative(np.array([-1e-3, 0.5, 0.5]))
 
 
 def test_report_cp_divisible_lindblad():
@@ -155,10 +149,11 @@ def test_report_matches_per_interval_reference(adjoint):
     if adjoint:
         maps = [m.adjoint() for m in maps]
     n = grid.n_steps
-    inter = [intermediate_map(maps, s, s + 1) for s in range(n)]
+    inter = [DynamicalMap(dim=2, matrix=intermediate_matrices(a.matrix[None], b.matrix[None], np.array([a.time]))[0],
+                          time=b.time) for a, b in zip(maps[:-1], maps[1:])]
     times = [0.5 * (grid.time_at(s) + grid.time_at(s + 1)) for s in range(n)]
     eigs = np.stack([choi_eigenvalues(m) for m in inter])
-    norms = np.array([max_bloch_norm(bloch_affine(m)) for m in inter])
+    norms = np.array([max_bloch_norm(*bloch_form(m)) for m in inter])
     assert report.choi_eigenvalues.shape == (n, 4) and report.max_bloch_norms.shape == (n,)
     assert np.array_equal(report.times, times)
     assert np.abs(report.choi_eigenvalues - eigs).max() <= 1e-12

@@ -68,7 +68,7 @@ def test_one_step_reaches_every_branch_and_keeps_the_ledger():
         step_key = stream_key(seed, STEP_STREAM_TAG)
         u = batched_uniform_words(ens.mult, make_generator(*step_key, ens.steps))[0]
         work = ens.copy()
-        counts = _advance_step(model, work, McwfScheme(), 0.0, DT, True, engine._Lanes([work]))
+        counts = _advance_step(engine._Lanes([work], model), work, McwfScheme(), 0.0, DT, True)
         assert counts.shape == (ens.size, n_jump + 3)
         assert np.array_equal(counts.sum(axis=1), ens.mult)
         gdiff = model.gamma_at(0.0) - model.gamma_L(0.0)
@@ -132,7 +132,7 @@ def test_spawned_rows_keep_the_order_of_a_per_row_loop(seed):
     ens._append_members([(ket[2], 500, 0), (ket[0], 1000, 1), (ket[1], 1000, 2)])
     table = StepTable(McwfScheme(), model, ens.states, 0.0, DT, counts=ens.mult)
     work = ens.copy()
-    counts = _advance_step(model, work, McwfScheme(), 0.0, DT, True, engine._Lanes([work]))
+    counts = _advance_step(engine._Lanes([work], model), work, McwfScheme(), 0.0, DT, True)
     assert (counts[1, [1, 2, 4, 5]] > 0).all() and counts[1, [0, 3]].sum() == 0
     assert len(table.exits[1]) == 1 and not table.exits[0] and not table.exits[2]
     expected = spawned_rows_loop(model, ens.states, table, counts, {1: [(counts[1, 4], table.exits[1][0][1])]})
@@ -142,7 +142,8 @@ def test_spawned_rows_keep_the_order_of_a_per_row_loop(seed):
     assert work.states[new].tobytes() == np.array([s for _, s, _ in expected]).tobytes()
     assert work.mult[new].tolist() == [int(c) for _, _, c in expected]
     assert work.group[new].tolist() == [int(ens.group[p]) for p, _, _ in expected]
-    assert work.ids[new].tolist() == list(range(ens.size, ens.size + len(expected)))
+    assert work.next_id == ens.next_id + len(expected)
+    assert work.states[: ens.size].tobytes() == table.det.tobytes()  # the parents drift in place
 
 
 def test_a_model_without_a_source_evaluates_none(monkeypatch):
@@ -198,10 +199,10 @@ def test_count_ledger_catches_a_lost_row(monkeypatch, where):
     assert mcwf.run(model, ens, grid).final_ensemble.next_id > ens.next_id  # rows were appended
     insert = Ensemble._insert_rows
 
-    def drop_first_row(self, ends, sizes, states, mult, group, ids):
+    def drop_first_row(self, ends, sizes, states, mult, group):
         sizes = list(sizes)
         sizes[next(b for b, size in enumerate(sizes) if size)] -= 1
-        insert(self, ends, sizes, states[1:], mult[1:], group[1:], ids[1:])
+        insert(self, ends, sizes, states[1:], mult[1:], group[1:])
 
     monkeypatch.setattr(Ensemble, "_insert_rows", drop_first_row)
     with pytest.raises(CountLedgerError, match=f"by the {where} at step \\d+, t = .*total count \\d+, expected"):

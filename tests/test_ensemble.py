@@ -77,10 +77,12 @@ def test_merge_groups_rows_as_the_lexicographic_sort_does(monkeypatch, collide):
         assert sorted(order[starts]) == sorted(want_order[want_starts])
         assert {tuple(sorted(order[runs == r])) for r in range(starts.sum())} == \
             {tuple(sorted(want_order[want_runs == r])) for r in range(want_starts.sum())}
-        merged = ens.merge_duplicates()
+        merged = ens.copy()
+        merged._merge_in_place()
         assert merged.size == int(want_starts.sum()) < ens.size
         assert merged.total_count() == ens.total_count()
-        assert np.array_equal(merged.ids, np.sort(want_order[want_starts]).astype(np.uint64))
+        # the first row of each run survives, in array order
+        assert merged.states.tobytes() == ens.states[np.sort(want_order[want_starts])].tobytes()
         assert ens.distinct_state_count() == _run_starts(canonical_key_rows(ens.states))[1].sum()
 
 
@@ -107,13 +109,14 @@ def test_run_starts_order_is_the_stable_hash_order(monkeypatch, high_bits):
 def test_merge_duplicates_sums_counts():
     ens = Ensemble.empty(2, n_ref=10, seed=0)
     ens._append_members([(KET0, 3, 0), (KET0, 4, 0), (KET1, 1, 0)])
-    merged = ens.merge_duplicates()
-    assert merged.size == 2
-    assert sorted(merged.mult.tolist()) == [1, 7]
+    ens._merge_in_place()
+    assert ens.size == 2
+    assert sorted(ens.mult.tolist()) == [1, 7]
     # members in different groups never merge
     ens2 = Ensemble.empty(2, n_ref=10, seed=0, n_groups=2)
     ens2._append_members([(KET0, 3, 0), (KET0, 4, 1)])
-    assert ens2.merge_duplicates().size == 2
+    ens2._merge_in_place()
+    assert ens2.size == 2
 
 
 def test_merge_preserves_average():
@@ -122,7 +125,8 @@ def test_merge_preserves_average():
     states = [random_state(rng, 3) for _ in range(6)]
     rows = [(states[i % 4], int(rng.integers(1, 9)), 0) for i in range(12)]
     ens._append_members(rows)
-    merged = ens.merge_duplicates()
+    merged = ens.copy()
+    merged._merge_in_place()
     assert merged.size <= ens.size
     assert np.abs(merged.average_state() - ens.average_state()).max() <= 1e-10
     assert merged.total_count() == ens.total_count()
@@ -225,7 +229,7 @@ def test_jsonl_round_trip(tmp_path):
     assert back.seed == ens.seed
     assert back.size == ens.size
     assert np.array_equal(back.mult, ens.mult)
-    assert np.array_equal(back.ids, ens.ids)
+    assert back.next_id == ens.next_id and back.steps == ens.steps
     assert np.abs(back.average_state() - ens.average_state()).max() <= 1e-12
 
 
@@ -258,6 +262,10 @@ def test_checkpoint_without_stream_state_rejected(tmp_path):
     # members need no stream fields; the header's step and id counters are required
     with pytest.raises(InvalidParameter, match="stream state: next_id, steps$"):
         Ensemble.from_jsonl(path)
+    # with the counters it loads; the per-member id of older files is ignored
+    header.update(next_id=1, steps=0)
+    path.write_text(json.dumps(header) + "\n" + json.dumps(member) + "\n", encoding="utf-8")
+    assert Ensemble.from_jsonl(path).mult.tolist() == [1]
     # a checkpoint without the step count that keys the random streams
     Ensemble.sample_initial([(1.0, KET0)], 3, seed=3).to_jsonl(path)
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -278,7 +286,9 @@ def test_run_reproducibility_and_average_invariance():
     assert np.array_equal(r1.total_counts, r2.total_counts)
     # merging at the end must not change the average
     fin = r1.final_ensemble
-    assert np.abs(fin.merge_duplicates().average_state() - fin.average_state()).max() <= 1e-10
+    merged = fin.copy()
+    merged._merge_in_place()
+    assert np.abs(merged.average_state() - fin.average_state()).max() <= 1e-10
 
 
 def test_insert_rows_places_members_as_np_insert_does():
@@ -287,11 +297,10 @@ def test_insert_rows_places_members_as_np_insert_does():
     ens._append_rows(rng.normal(size=(5, 2)) + 0j, [1, 2, 3, 4, 5], [0, 1, 2, 0, 1])
     ends, sizes = [0, 3, 3, 5], [2, 1, 0, 2]  # blocks of new members, one of them empty
     at = np.repeat(ends, sizes)
-    new = {"states": rng.normal(size=(5, 2)) + 1j, "mult": [6, 7, 8, 9, 10], "group": [2, 2, 1, 0, 0],
-           "ids": [20, 21, 22, 23, 24]}
+    new = {"states": rng.normal(size=(5, 2)) + 1j, "mult": [6, 7, 8, 9, 10], "group": [2, 2, 1, 0, 0]}
     expected = {name: np.insert(getattr(ens, name), at, np.asarray(new[name], dtype=getattr(ens, name).dtype), axis=0)
                 for name in Ensemble._FIELDS}
-    ens._insert_rows(ends, sizes, new["states"], new["mult"], new["group"], new["ids"])
+    ens._insert_rows(ends, sizes, new["states"], new["mult"], new["group"])
     for name in Ensemble._FIELDS:
         assert getattr(ens, name).dtype == expected[name].dtype
         assert np.array_equal(getattr(ens, name), expected[name]), name

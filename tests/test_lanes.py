@@ -159,7 +159,7 @@ def test_two_lanes_fall_back_to_the_multinomial_in_one_step(runner, scheme):
 
 
 def test_lanes_with_a_source_match_separate_runs():
-    # creations land at the end of their lane, in its groups, with its ids,
+    # creations land at the end of their lane, in its groups, counted by its row counter,
     # in an empty lane as well
     def source(t):
         psi = np.array([np.cos(2.0 * t), np.sin(2.0 * t) * np.exp(0.5j)])
@@ -251,15 +251,27 @@ def test_lanes_of_their_own_models_match_separate_runs(runner):
     assert joint[3].total_counts[-1] == 0 < joint[3].total_counts[0]
     assert joint[1].final_ensemble.size > 0 and joint[4].final_ensemble.size > 0  # created from empty
     assert joint[2].total_counts[-1] > joint[2].total_counts[0]
+    # one model object in lanes 0, 1 and 3: the multi-row lanes 0 and 1 share a
+    # block, lane 2 of another model and the one-row lane 3 keep their own
+    partly_shared = [
+        Ensemble.sample_initial([(0.7, KET1), (0.3, PLUS)], 300, seed=56, n_groups=3),
+        Ensemble.sample_initial([(0.5, KET1), (0.5, PLUS)], 60, seed=57, n_groups=2),
+        Ensemble.sample_initial([(0.5, KET0), (0.5, PLUS)], 80, seed=58),
+        one_object(KET1, 1, seed=59, n_ref=40),
+    ]
+    run_as_lanes(runner, [models[0], models[0], models[1], models[0]], partly_shared, TimeGrid(0.0, 0.3, 2e-3),
+                 record_every=7, observables={"z": P.z})
 
 
 def test_one_model_per_lane_equals_the_shared_model():
-    # a list of one model object is the shared-model run, context and all
+    # a list (or any iterable) of one model object is the shared-model run, context and all
     model = branching_model()
     ensembles = [Ensemble.sample_initial([(1.0, PLUS)], 100, seed=s, n_groups=2) for s in (61, 62)]
     grid = TimeGrid(0.0, 0.1, 2e-3)
-    for joint, shared in zip(mcwf.run([model, model], ensembles, grid), mcwf.run(model, ensembles, grid)):
-        assert_same_result(joint, shared)
+    shared = mcwf.run(model, ensembles, grid)
+    for models in ([model, model], iter([model, model])):
+        for joint, one in zip(mcwf.run(models, ensembles, grid), shared):
+            assert_same_result(joint, one)
 
 
 def test_lanes_reject_a_wrong_model_count():
@@ -284,3 +296,6 @@ def test_a_negative_source_names_its_lane():
         mcwf.run(models, ensembles, TimeGrid(0.0, 0.1, 1e-2))
     with pytest.raises(NegativeSource, match=r"^source eigenvalue -1\.000e\+00 below -1e-06 at t = 0\.05$"):
         mcwf.run(models[1], ensembles[1], TimeGrid(0.0, 0.1, 1e-2))
+    # under one shared model the first lane names the failure
+    with pytest.raises(NegativeSource, match=r"^lane 0: source eigenvalue -1\.000e\+00 below -1e-06 at t = 0\.05$"):
+        mcwf.run(models[1], ensembles, TimeGrid(0.0, 0.1, 1e-2))
